@@ -20,7 +20,6 @@ import sys
 import time
 
 from .errors import PrecisionExhausted, TorsionLabError
-from .hamlab import run_suite
 from .novikov import to_text
 from .polydisk import MODES, PolydiskSpec, polydisk_bound
 from .rationals import as_level, format_level, is_infinite, rational
@@ -259,6 +258,8 @@ def _cmd_optimize(args) -> tuple[Report, int]:
 
 
 def _cmd_verify(args) -> tuple[Report, int]:
+    # hamlab pulls in sympy and numpy; only this subcommand needs them
+    from .hamlab import run_suite
     result = run_suite(args.suite, seed=args.seed,
                        resolution=args.resolution, tol=args.tol)
     report = Report("verify")

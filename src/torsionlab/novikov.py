@@ -45,12 +45,6 @@ from .rationals import INFINITE, Level, as_level, format_level, is_infinite
 # A term is (coefficient, T-exponent, e-exponent).
 Term = tuple[Fraction, Fraction, int]
 
-# Long division with an infinite truncation level terminates only when the
-# quotient is a finite sum.  The step budget turns the non-terminating case
-# into a PrecisionExhausted instead of a hang.
-_DIVISION_STEP_BUDGET = 100_000
-
-
 def _canonical_terms(terms: Iterable[tuple], trunc: Level) -> tuple[Term, ...]:
     merged: dict[tuple[Fraction, int], Fraction] = {}
     for coeff, t_exp, e_exp in terms:
@@ -264,16 +258,21 @@ def divide_exact(x: NovikovElement, y: NovikovElement) -> NovikovElement:
     out_trunc = min(x.trunc, y.trunc) - yl
     if is_infinite(out_trunc):
         out_trunc = INFINITE
+    # At infinite truncation only a finite quotient can be returned.  Over
+    # a domain the top T-exponents of a product add, so a finite quotient
+    # has no term above top(x) - top(y); long division that reaches past
+    # that level is producing an infinite series.
+    limit = INFINITE
+    if is_infinite(out_trunc) and x.terms:
+        limit = x.terms[-1][1] - y.terms[-1][1]
     quotient: list[Term] = []
     remainder = x
-    steps = 0
     while remainder.terms:
         rc, rl, rm = remainder.leading_term()
         level = rl - yl
         if level >= out_trunc:
             break
-        steps += 1
-        if steps > _DIVISION_STEP_BUDGET and is_infinite(out_trunc):
+        if level > limit:
             raise PrecisionExhausted(
                 "quotient is an infinite series; set a finite truncation")
         piece = (rc / yc, level, rm - ym)

@@ -17,31 +17,32 @@ the covector
 
 one summand per disk class, all with coefficient +1: opposite facets of a
 sphere factor contribute opposite boundary classes, which is exactly how
-the two hemisphere disks cancel or survive.  Contraction squares to zero,
-so every fiber yields a cochain complex over the bounded Novikov subring
-whose aggregate decomposition gives the free rank and torsion exponents.
-The torsion threshold of that decomposition is a lower bound for the
-displacement energy of the fiber.
+the two hemisphere disks cancel or survive.
+
+The cohomology of that Koszul complex has a closed form.  The bounded
+Novikov subring is a valuation ring, so the component of w of smallest
+valuation v divides all the others, and a unimodular change of basis of
+the lattice takes w to (T^v * unit, 0, ..., 0).  The complex then splits
+as K(T^v) (x) Lambda(n - 1): the one-variable complex contributes a
+single summand (bounded subring)/T^v, and the exterior algebra on the
+remaining n - 1 directions repeats it 2^(n-1) times.  When w vanishes
+below the truncation every differential is zero and the cohomology is
+free of rank 2^n.  The torsion threshold, v or +inf, is a lower bound
+for the displacement energy of the fiber.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import EmptyInterior, FiberOnBoundary
 from .novikov import NovikovElement, default_truncation
 from .rationals import INFINITE, Level, as_level, is_infinite
-from .valmat import (
-    ChainComplex,
-    ModuleDecomposition,
-    NovikovMatrix,
-    decompose,
-    torsion_threshold,
-)
+from .valmat import ModuleDecomposition
 
 
 @dataclass(frozen=True)
@@ -201,68 +202,33 @@ def boundary_covector(model: MomentModel, fiber: Sequence,
     return tuple(components)
 
 
-@dataclass(frozen=True)
-class FloerModel:
-    """Koszul contraction complex of the covector at a fiber."""
-
-    model: MomentModel
-    fiber: tuple[Fraction, ...]
-    covector: tuple[NovikovElement, ...]
-    complex: ChainComplex
-
-
-def _contraction_matrix(covector: Sequence[NovikovElement], degree: int,
-                        trunc: Level) -> NovikovMatrix:
-    """Matrix of interior contraction from exterior degree d to d - 1."""
-    n = len(covector)
-    sources = list(itertools.combinations(range(n), degree))
-    targets = list(itertools.combinations(range(n), degree - 1))
-    index = {subset: row for row, subset in enumerate(targets)}
-    zero = NovikovElement.zero()
-    grid = [[zero] * len(sources) for _ in targets]
-    for col, subset in enumerate(sources):
-        for position, i in enumerate(subset):
-            rest = subset[:position] + subset[position + 1:]
-            sign = -1 if position % 2 else 1
-            entry = covector[i] if sign == 1 else -covector[i]
-            row = index[rest]
-            grid[row][col] = grid[row][col] + entry
-    return NovikovMatrix(grid, trunc,
-                         shape=(len(targets), len(sources)))
-
-
-def floer_model(model: MomentModel, fiber: Sequence,
-                trunc: Level | None = None) -> FloerModel:
-    """Assemble the contraction complex in all exterior degrees.
-
-    Cochain degree k holds exterior degree n - k, so the contraction,
-    which lowers exterior degree, raises cochain degree.
-    """
-    covector = boundary_covector(model, fiber, trunc)
-    level = min((w.trunc for w in covector), default=INFINITE)
-    n = model.dim
-    ranks = [math.comb(n, n - k) for k in range(n + 1)]
-    differentials = [
-        _contraction_matrix(covector, n - k, level) for k in range(n)
-    ]
-    return FloerModel(
-        model=model,
-        fiber=tuple(Fraction(x) for x in fiber),
-        covector=covector,
-        complex=ChainComplex(ranks, differentials),
-    )
+def _smallest_valuation(covector: Sequence[NovikovElement]) -> Level:
+    return min((w.valuation() for w in covector), default=INFINITE)
 
 
 def floer_cohomology(model: MomentModel, fiber: Sequence,
                      trunc: Level | None = None) -> ModuleDecomposition:
-    """Aggregate decomposition over all degrees: free rank 2^n exactly
-    when the covector vanishes, torsion exponents otherwise."""
-    return decompose(floer_model(model, fiber, trunc).complex)
+    """Aggregate decomposition over all degrees, in closed form.
+
+    With v the smallest valuation among the covector components, the
+    cohomology is free of rank 2^n when v is infinite (w vanishes below
+    the truncation) and otherwise 2^(n-1) torsion summands of exponent
+    v: a unimodular change of basis takes w to (T^v * unit, 0, ..., 0),
+    and the Koszul complex becomes K(T^v) (x) Lambda(n - 1).
+    """
+    value = _smallest_valuation(boundary_covector(model, fiber, trunc))
+    if is_infinite(value):
+        return ModuleDecomposition(betti=2 ** model.dim, torsion=())
+    return ModuleDecomposition(betti=0,
+                               torsion=(value,) * 2 ** (model.dim - 1))
 
 
 def torsion_threshold_at(model: MomentModel, fiber: Sequence,
                          trunc: Level | None = None) -> Level:
-    return torsion_threshold(floer_cohomology(model, fiber, trunc))
+    """Torsion threshold of the fiber's cohomology, read off the
+    covector without building the torsion exponents: +inf when it
+    vanishes, its smallest component valuation otherwise."""
+    return _smallest_valuation(boundary_covector(model, fiber, trunc))
 
 
 def displacement_bound(model: MomentModel, fiber: Sequence,

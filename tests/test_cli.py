@@ -1,9 +1,13 @@
 """End-to-end checks of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import torsionlab
 from torsionlab.cli import run
 
 
@@ -206,3 +210,41 @@ def test_optimize_equator_is_nondisplaceable(capsys):
     assert "fiber: 1/2, 1/2 (exact)" in out
     assert "value: inf (exact)" in out
     assert "non_displaceable: yes" in out
+
+
+def test_torsion_at_infinite_truncation_answers(capsys):
+    # the normal form of this fiber's complex would need an infinite series
+    code, out, _ = invoke(capsys, "torsion",
+                          "--model", "sphere:1xsphere:3/2",
+                          "--fiber", "1/3,1/2", "--trunc", "inf")
+    assert code == 0
+    assert "torsion: 1/3, 1/3 (exact)" in out
+    assert "threshold: 1/3 (= 0.333333, exact)" in out
+
+
+_EXACT_COMMANDS = """
+import json, sys
+from torsionlab.cli import run
+matrix, complex_ = sys.argv[1:3]
+codes = [
+    run(["torsion", "--model", "sphere:3/2xsphere:5xsphere:5",
+         "--fiber", "3/4,2,2"]),
+    run(["polydisk", "--mode", "1.5", "--n", "3", "--k", "2", "--S", "2"]),
+    run(["snf", "--matrix", matrix]),
+    run(["decompose", "--complex", complex_, "--hofer", "1/2"]),
+]
+loaded = sorted(name for name in ("sympy", "numpy") if name in sys.modules)
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_exact_subcommands_load_no_numerics(matrix_file, complex_file):
+    src = os.path.dirname(os.path.dirname(torsionlab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _EXACT_COMMANDS, matrix_file, complex_file],
+        capture_output=True, text=True, env=env, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0, 0], "loaded": []}

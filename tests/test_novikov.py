@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from torsionlab import novikov
 from torsionlab.errors import InexactDivision, PrecisionExhausted
@@ -189,6 +190,24 @@ def test_invert_times_self_is_one_below_trunc():
 def test_invert_infinite_series_needs_finite_trunc():
     with pytest.raises(PrecisionExhausted):
         invert(nov("1 - T(1)"))
+
+
+def monomials(min_size=0):
+    return st.lists(
+        st.tuples(st.fractions(-4, 4, max_denominator=6).filter(bool),
+                  st.fractions(-3, 6, max_denominator=4),
+                  st.integers(-2, 2)),
+        min_size=min_size, max_size=5)
+
+
+@given(monomials(), monomials(min_size=1))
+def test_divide_exact_recovers_finite_quotient(q_terms, y_terms):
+    q = NovikovElement(q_terms)
+    y = NovikovElement(y_terms)
+    # a divisor whose lowest T-level holds several e-terms is rejected
+    if y.is_zero() or (len(y.terms) > 1 and y.terms[1][1] == y.terms[0][1]):
+        return
+    assert divide_exact(q * y, y) == q
 
 
 def test_divide_exact_examples():

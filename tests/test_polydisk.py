@@ -140,3 +140,10 @@ def test_mode_15_requires_k():
 def test_unknown_mode_rejected():
     with pytest.raises(ConstraintViolated):
         PolydiskSpec(mode="1.6", S=2, n=3)
+
+
+@pytest.mark.parametrize("mode, k", [("1.4", 39), ("1.5", 20)])
+def test_bound_at_forty_factors(mode, k):
+    # the threshold comes from the covector, never from 2^40 summands
+    data = polydisk_bound(PolydiskSpec(mode=mode, S=F(2), n=40, k=k))
+    assert data["bound"] == data["S"] == "2"

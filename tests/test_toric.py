@@ -4,7 +4,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from koszul import koszul_complex
 from torsionlab.errors import EmptyInterior, FiberOnBoundary
 from torsionlab.novikov import NovikovElement, from_text
 from torsionlab.rationals import INFINITE, is_infinite
@@ -18,7 +20,6 @@ from torsionlab.toric import (
     enumerate_disks,
     facet_areas,
     floer_cohomology,
-    floer_model,
     model_from_factors,
     model_from_json,
     model_to_json,
@@ -29,6 +30,7 @@ from torsionlab.toric import (
     sphere_factor,
     torsion_threshold_at,
 )
+from torsionlab.valmat import decompose, torsion_threshold
 
 
 def translated(model: MomentModel, shift) -> MomentModel:
@@ -177,24 +179,71 @@ def test_covector_cylinder_times_sphere():
 
 def test_floer_model_ranks_are_binomial():
     model = product(sphere_factor(1), sphere_factor(2), sphere_factor(3))
-    fm = floer_model(model, [F(1, 4), F(1, 2), F(1)])
-    assert fm.complex.ranks == (1, 3, 3, 1)
+    complex_ = koszul_complex(model, [F(1, 4), F(1, 2), F(1)])
+    assert complex_.ranks == (1, 3, 3, 1)
 
 
 def test_contraction_squares_to_zero():
     rng = random.Random(20260816)
     for _ in range(25):
         model, fiber = random_model(rng)
-        fm = floer_model(model, fiber)
-        fm.complex.validate()
-        for lower, upper in zip(fm.complex.differentials,
-                                fm.complex.differentials[1:]):
+        complex_ = koszul_complex(model, fiber)
+        complex_.validate()
+        for lower, upper in zip(complex_.differentials,
+                                complex_.differentials[1:]):
             if min(upper.shape) == 0 or min(lower.shape) == 0:
                 continue
             # entries of the composition vanish identically, not merely
             # below the truncation level: contraction squares to zero
             assert all(entry.is_zero() for row in (upper * lower).entries
                        for entry in row)
+
+
+@st.composite
+def snapped_fibers(draw):
+    """A product of at most three spheres, CP^1 or CP^2 and cylinders,
+    with each factor's fiber coordinates at its centre (sphere equator,
+    simplex barycentre) or at a free interior point, and a truncation:
+    automatic, at or below the smallest facet area, or free."""
+    factors = []
+    fiber = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("sphere", "cp", "cylinder")))
+        centred = draw(st.booleans())
+        if kind == "sphere":
+            area = F(draw(st.integers(1, 8)), draw(st.integers(1, 3)))
+            factors.append(sphere_factor(area))
+            share = F(1, 2) if centred else F(draw(st.integers(1, 7)), 8)
+            fiber.append(area * share)
+        elif kind == "cp":
+            k = draw(st.integers(1, 2))
+            size = F(draw(st.integers(1, 8)), draw(st.integers(1, 2)))
+            factors.append(projective_factor(k, size))
+            weights = [1] * (k + 1) if centred else \
+                draw(st.lists(st.integers(1, 4), min_size=k + 1,
+                              max_size=k + 1))
+            fiber.extend(size * F(w, sum(weights)) for w in weights[:k])
+        else:
+            factors.append(cylinder_factor())
+            fiber.append(F(draw(st.integers(1, 9)), 4))
+    model = product(*factors)
+    smallest = min(facet_areas(model, fiber))
+    trunc = draw(st.sampled_from((
+        None,
+        smallest * F(draw(st.integers(1, 4)), 4),
+        F(draw(st.integers(1, 24)), 4),
+    )))
+    return model, fiber, trunc
+
+
+@settings(max_examples=150)
+@given(snapped_fibers())
+def test_closed_form_matches_koszul_normal_form(case):
+    model, fiber, trunc = case
+    expected = decompose(koszul_complex(model, fiber, trunc))
+    assert floer_cohomology(model, fiber, trunc) == expected
+    assert torsion_threshold_at(model, fiber, trunc) == \
+        torsion_threshold(expected)
 
 
 # -- cohomology decompositions --------------------------------------------
