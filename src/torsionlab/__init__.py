@@ -6,17 +6,15 @@ identities behind the bounds numerically.
 """
 
 from .errors import (ConstraintViolated, EmptyInterior, FiberOnBoundary,
-                     InexactDivision, NonCompact, NotAComplex,
-                     PrecisionExhausted, StepFailure, TorsionLabError,
-                     UnboundedDomain)
-from .novikov import (NovikovElement, divide_exact, from_text, parse,
-                      to_text, valuation)
+                     NonCompact, NotAComplex, PrecisionExhausted,
+                     StepFailure, TorsionLabError, UnboundedDomain)
+from .novikov import NovikovElement, divide_exact, from_text, parse, to_text
 from .polydisk import MODES, PolydiskSpec, polydisk_bound
 from .rationals import INFINITE, as_level, format_level, is_infinite, rational
 from .toric import (MomentModel, ThresholdSearch, boundary_covector,
-                    cylinder_factor, displacement_bound, facet_areas,
-                    floer_cohomology, model_from_factors, model_from_json,
-                    model_to_json, optimize_threshold, potential, product,
+                    cylinder_factor, facet_areas, floer_cohomology,
+                    model_from_factors, model_from_json, model_to_json,
+                    optimize_threshold, potential, product,
                     projective_factor, sphere_factor, torsion_threshold_at)
 from .valmat import (ChainComplex, ModuleDecomposition, NovikovMatrix,
                      SmithNormalForm, b_count, decompose,
@@ -31,7 +29,6 @@ __all__ = [
     "EmptyInterior",
     "FiberOnBoundary",
     "INFINITE",
-    "InexactDivision",
     "MODES",
     "ModuleDecomposition",
     "MomentModel",
@@ -51,7 +48,6 @@ __all__ = [
     "boundary_covector",
     "cylinder_factor",
     "decompose",
-    "displacement_bound",
     "divide_exact",
     "facet_areas",
     "floer_cohomology",
@@ -74,6 +70,5 @@ __all__ = [
     "torsion_threshold",
     "torsion_threshold_at",
     "to_text",
-    "valuation",
     "__version__",
 ]

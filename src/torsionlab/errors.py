@@ -19,10 +19,6 @@ class PrecisionExhausted(TorsionLabError):
     """
 
 
-class InexactDivision(TorsionLabError, ArithmeticError):
-    """Division was requested where no quotient exists in the ring."""
-
-
 class ConstraintViolated(TorsionLabError):
     """An input inequality failed.  ``name`` states which one."""
 

@@ -1,10 +1,10 @@
-"""Arithmetic in the universal Novikov ring with exact rational exponents.
+"""Arithmetic in the Novikov ring with exact rational exponents.
 
-An element is a finite sum  sum_i  a_i * T^(l_i) * e^(m_i)  with rational
-coefficients a_i, rational T-exponents l_i, and integer e-exponents m_i.
-The T-adic valuation of a nonzero element is its smallest T-exponent; the
-valuation of zero is +infinity.  Elements with valuation >= 0 form the
-bounded subring, those with valuation > 0 its maximal ideal.
+An element is a finite sum  sum_i  a_i * T^(l_i)  with rational
+coefficients a_i and rational exponents l_i.  The T-adic valuation of a
+nonzero element is its smallest exponent; the valuation of zero is
++infinity.  Elements with valuation >= 0 form the bounded subring, those
+with valuation > 0 its maximal ideal.
 
 Every element carries a truncation level ``trunc``: terms with T-exponent
 at or above ``trunc`` have been dropped and the element is reliable only
@@ -17,6 +17,9 @@ so that no retained term could have been contaminated by a dropped one.
 Inversion and division are long division against the leading term; when
 the quotient is an infinite series, a finite truncation level is required
 and PrecisionExhausted is raised otherwise.
+
+Elements have one text encoding, a sum of terms COEFF*T(p/q) (see
+to_text); matrix and complex files carry their entries in it.
 
 All exponents stay exact Fractions end to end.  Downstream quantities
 (valuations, torsion exponents, thresholds) are therefore exact rationals
@@ -39,37 +42,33 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import InexactDivision, PrecisionExhausted
+from .errors import PrecisionExhausted
 from .rationals import INFINITE, Level, as_level, format_level, is_infinite
 
-# A term is (coefficient, T-exponent, e-exponent).
-Term = tuple[Fraction, Fraction, int]
+# A term is (coefficient, T-exponent).
+Term = tuple[Fraction, Fraction]
 
 def _canonical_terms(terms: Iterable[tuple], trunc: Level) -> tuple[Term, ...]:
-    merged: dict[tuple[Fraction, int], Fraction] = {}
-    for coeff, t_exp, e_exp in terms:
+    merged: dict[Fraction, Fraction] = {}
+    for coeff, t_exp in terms:
         coeff = Fraction(coeff)
         t_exp = Fraction(t_exp)
-        e_exp = int(e_exp)
         if coeff == 0 or t_exp >= trunc:
             continue
-        key = (t_exp, e_exp)
-        acc = merged.get(key, _ZERO_FRACTION) + coeff
+        acc = merged.get(t_exp, _ZERO_FRACTION) + coeff
         if acc == 0:
-            merged.pop(key, None)
+            merged.pop(t_exp, None)
         else:
-            merged[key] = acc
+            merged[t_exp] = acc
     return tuple(
-        (coeff, t_exp, e_exp)
-        for (t_exp, e_exp), coeff in sorted(merged.items())
-    )
+        (coeff, t_exp) for t_exp, coeff in sorted(merged.items()))
 
 
 _ZERO_FRACTION = Fraction(0)
 
 
 class NovikovElement:
-    """Immutable finite sum of T/e monomials below a truncation level."""
+    """Immutable finite sum of T-monomials below a truncation level."""
 
     __slots__ = ("terms", "trunc")
 
@@ -89,12 +88,12 @@ class NovikovElement:
 
     @classmethod
     def one(cls) -> "NovikovElement":
-        return cls(((Fraction(1), Fraction(0), 0),))
+        return cls(((Fraction(1), Fraction(0)),))
 
     @classmethod
-    def monomial(cls, coeff, t_exp=0, e_exp: int = 0,
+    def monomial(cls, coeff, t_exp=0,
                  trunc: Level = INFINITE) -> "NovikovElement":
-        return cls(((Fraction(coeff), Fraction(t_exp), e_exp),), trunc)
+        return cls(((Fraction(coeff), Fraction(t_exp)),), trunc)
 
     # -- structure ----------------------------------------------------
 
@@ -130,11 +129,6 @@ class NovikovElement:
             return self
         return NovikovElement(self.terms, level)
 
-    def collapse_e(self) -> "NovikovElement":
-        """Forget the e-grading (set every e-exponent to zero, merging)."""
-        return NovikovElement(
-            ((c, l, 0) for c, l, _ in self.terms), self.trunc)
-
     # -- ring operations ----------------------------------------------
 
     @staticmethod
@@ -156,7 +150,7 @@ class NovikovElement:
 
     def __neg__(self) -> "NovikovElement":
         return NovikovElement(
-            ((-c, l, m) for c, l, m in self.terms), self.trunc)
+            ((-c, l) for c, l in self.terms), self.trunc)
 
     def __sub__(self, other) -> "NovikovElement":
         other = self._coerce(other)
@@ -175,16 +169,14 @@ class NovikovElement:
                     other.trunc + self.valuation())
         if is_infinite(trunc):
             trunc = INFINITE
-        acc: dict[tuple[Fraction, int], Fraction] = {}
-        for a, la, ma in self.terms:
-            for b, lb, mb in other.terms:
+        acc: dict[Fraction, Fraction] = {}
+        for a, la in self.terms:
+            for b, lb in other.terms:
                 level = la + lb
                 if level >= trunc:
                     continue
-                key = (level, ma + mb)
-                acc[key] = acc.get(key, _ZERO_FRACTION) + a * b
-        return NovikovElement(
-            ((c, l, m) for (l, m), c in acc.items()), trunc)
+                acc[level] = acc.get(level, _ZERO_FRACTION) + a * b
+        return NovikovElement(((c, l) for l, c in acc.items()), trunc)
 
     __rmul__ = __mul__
 
@@ -227,10 +219,6 @@ class NovikovElement:
         return iter(self.terms)
 
 
-def valuation(x: NovikovElement) -> Level:
-    return x.valuation()
-
-
 def divide_exact(x: NovikovElement, y: NovikovElement) -> NovikovElement:
     """Quotient x / y by long division against the leading term of y.
 
@@ -240,21 +228,12 @@ def divide_exact(x: NovikovElement, y: NovikovElement) -> NovikovElement:
     min(x.trunc, y.trunc) - valuation(y), the level below which its terms
     are reliable.
 
-    The divisor's lowest T-level must consist of a single term (a
-    monomial in e).  Divisibility by elements like 1 + e is undecidable
-    by T-adic valuation alone and nothing here needs it; collapse the
-    e-grading first if it is irrelevant.
-
     >>> to_text(divide_exact(from_text("T(3) - T(4)"), from_text("T(3)")))
     '1 - T(1)'
     """
     if y.is_zero():
         raise ZeroDivisionError("division by the zero element")
-    yc, yl, ym = y.leading_term()
-    if len(y.terms) > 1 and y.terms[1][1] == yl:
-        raise InexactDivision(
-            "divisor's lowest T-level has several e-terms; "
-            "collapse the e-grading or use an e-monomial-led divisor")
+    yc, yl = y.leading_term()
     out_trunc = min(x.trunc, y.trunc) - yl
     if is_infinite(out_trunc):
         out_trunc = INFINITE
@@ -268,14 +247,14 @@ def divide_exact(x: NovikovElement, y: NovikovElement) -> NovikovElement:
     quotient: list[Term] = []
     remainder = x
     while remainder.terms:
-        rc, rl, rm = remainder.leading_term()
+        rc, rl = remainder.leading_term()
         level = rl - yl
         if level >= out_trunc:
             break
         if level > limit:
             raise PrecisionExhausted(
                 "quotient is an infinite series; set a finite truncation")
-        piece = (rc / yc, level, rm - ym)
+        piece = (rc / yc, level)
         quotient.append(piece)
         remainder = remainder - NovikovElement((piece,)) * y
     return NovikovElement(quotient, out_trunc)
@@ -314,27 +293,24 @@ def default_truncation(values: Iterable[Level]) -> Level:
 
 # -- text encoding ----------------------------------------------------
 #
-# Canonical form: terms sorted by (T-exponent, e-exponent), joined by
-# " + " / " - ", each term  coeff*T(p/q)*e(n)  with unit coefficients and
-# zero exponents omitted.  Examples: "2*T(3/2)*e(-1) + T(2)", "1 - T(3)",
-# "0".  Round-trips are bit exact.
+# Canonical form: terms sorted by T-exponent, joined by " + " / " - ",
+# each term  coeff*T(p/q)  with unit coefficients and zero exponents
+# omitted.  Examples: "2*T(3/2) + T(2)", "1 - T(3)", "0".  Round-trips
+# are bit exact.
 
 _TERM_PATTERN = re.compile(
     r"""^\s*
     (?:(?P<coeff>\d+(?:/\d+)?)\s*)?
     (?:\*?\s*T\(\s*(?P<t>-?\d+(?:/\d+)?)\s*\)\s*)?
-    (?:\*?\s*e\(\s*(?P<e>-?\d+)\s*\)\s*)?
     $""",
     re.VERBOSE,
 )
 
 
-def _format_term(coeff: Fraction, t_exp: Fraction, e_exp: int) -> str:
+def _format_term(coeff: Fraction, t_exp: Fraction) -> str:
     parts = []
     if t_exp != 0:
         parts.append(f"T({t_exp})")
-    if e_exp != 0:
-        parts.append(f"e({e_exp})")
     magnitude = abs(coeff)
     if magnitude != 1 or not parts:
         parts.insert(0, str(magnitude))
@@ -345,8 +321,8 @@ def to_text(x: NovikovElement) -> str:
     if not x.terms:
         return "0"
     pieces = []
-    for index, (coeff, t_exp, e_exp) in enumerate(x.terms):
-        body = _format_term(coeff, t_exp, e_exp)
+    for index, (coeff, t_exp) in enumerate(x.terms):
+        body = _format_term(coeff, t_exp)
         if index == 0:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:
@@ -401,51 +377,24 @@ def from_text(text: str, trunc: Level = INFINITE) -> NovikovElement:
         raise ValueError("empty Novikov literal")
     terms = []
     for sign, body in _split_terms(stripped):
+        body = body.strip()
         match = _TERM_PATTERN.match(body)
-        if not match or not body.strip():
-            raise ValueError(f"cannot parse Novikov term {body!r}")
-        coeff_text, t_text, e_text = match.group("coeff", "t", "e")
-        if coeff_text is None and t_text is None and e_text is None:
-            raise ValueError(f"cannot parse Novikov term {body!r}")
+        if not match or not any(match.group("coeff", "t")):
+            raise ValueError(f"cannot parse Novikov term {body!r}; "
+                             "terms are COEFF*T(p/q)")
+        coeff_text, t_text = match.group("coeff", "t")
         coeff = Fraction(coeff_text) if coeff_text else Fraction(1)
-        terms.append((
-            sign * coeff,
-            Fraction(t_text) if t_text else Fraction(0),
-            int(e_text) if e_text else 0,
-        ))
-    return NovikovElement(terms, trunc)
-
-
-# -- JSON encoding ----------------------------------------------------
-
-def to_json_terms(x: NovikovElement) -> list[dict]:
-    """List of {"coeff": "p/q", "t": "p/q", "e": n}; truncation is carried
-    by the enclosing container, not per element."""
-    return [
-        {"coeff": str(coeff), "t": str(t_exp), "e": e_exp}
-        for coeff, t_exp, e_exp in x.terms
-    ]
-
-
-def from_json_terms(data: Iterable[dict], trunc: Level = INFINITE) -> NovikovElement:
-    terms = []
-    for entry in data:
-        terms.append((
-            Fraction(entry["coeff"]),
-            Fraction(entry.get("t", 0)),
-            int(entry.get("e", 0)),
-        ))
+        terms.append((sign * coeff,
+                      Fraction(t_text) if t_text else Fraction(0)))
     return NovikovElement(terms, trunc)
 
 
 def parse(value, trunc: Level = INFINITE) -> NovikovElement:
-    """Liberal constructor: element, text, JSON term list, int, Fraction."""
+    """Liberal constructor: element, text, int, Fraction."""
     if isinstance(value, NovikovElement):
         return value.retruncate(trunc)
     if isinstance(value, str):
         return from_text(value, trunc)
     if isinstance(value, (int, Fraction)):
         return NovikovElement.monomial(value, trunc=trunc)
-    if isinstance(value, (list, tuple)):
-        return from_json_terms(value, trunc)
     raise TypeError(f"cannot interpret {value!r} as a Novikov element")

@@ -179,7 +179,7 @@ def enumerate_disks(model: MomentModel, fiber: Sequence) -> tuple[DiskClass, ...
 def potential(model: MomentModel, fiber: Sequence) -> NovikovElement:
     """Sum of T^area over the disk classes (an exact element)."""
     return NovikovElement(
-        (Fraction(1), disk.area, 0) for disk in enumerate_disks(model, fiber))
+        (Fraction(1), disk.area) for disk in enumerate_disks(model, fiber))
 
 
 def boundary_covector(model: MomentModel, fiber: Sequence,
@@ -197,7 +197,7 @@ def boundary_covector(model: MomentModel, fiber: Sequence,
     components = []
     for i in range(model.dim):
         components.append(NovikovElement(
-            ((Fraction(disk.boundary[i]), disk.area, 0)
+            ((Fraction(disk.boundary[i]), disk.area)
              for disk in disks if disk.boundary[i] != 0), level))
     return tuple(components)
 
@@ -229,13 +229,6 @@ def torsion_threshold_at(model: MomentModel, fiber: Sequence,
     covector without building the torsion exponents: +inf when it
     vanishes, its smallest component valuation otherwise."""
     return _smallest_valuation(boundary_covector(model, fiber, trunc))
-
-
-def displacement_bound(model: MomentModel, fiber: Sequence,
-                       trunc: Level | None = None) -> Level:
-    """Lower bound for the displacement energy of the fiber: its torsion
-    threshold (+inf means the fiber is non-displaceable)."""
-    return torsion_threshold_at(model, fiber, trunc)
 
 
 # -- optimization over the fiber location --------------------------------

@@ -182,9 +182,9 @@ def smith_normal_form(matrix: NovikovMatrix) -> SmithNormalForm:
                 row[k], row[pj] = row[pj], row[k]
 
         pivot = work[k][k]
-        # normalize the leading term to coefficient 1, e-exponent 0
-        coeff, _, e_exp = pivot.leading_term()
-        unit = NovikovElement.monomial(1 / coeff, 0, -e_exp)
+        # normalize the leading coefficient to 1
+        coeff, _ = pivot.leading_term()
+        unit = NovikovElement.monomial(1 / coeff)
         work[k] = [unit * value for value in work[k]]
         u[k] = [unit * value for value in u[k]]
         pivot = work[k][k]

@@ -190,6 +190,18 @@ def test_unknown_inline_factor_exits_2(capsys):
     assert "cannot read factor" in err
 
 
+def test_snf_rejects_e_term_while_reading_matrix(capsys, tmp_path):
+    path = tmp_path / "e_term.json"
+    path.write_text(json.dumps({
+        "rows": 1, "cols": 2, "entries": [["1 + e(1)", "1"]],
+    }))
+    code, out, err = invoke(capsys, "snf", "--matrix", str(path))
+    assert code == 2
+    assert out == ""
+    assert ("cannot parse Novikov term 'e(1)'; terms are COEFF*T(p/q)"
+            in err)
+
+
 def test_missing_matrix_file_exits_2(capsys):
     code, _, err = invoke(capsys, "snf", "--matrix", "/no/such/file.json")
     assert code == 2

@@ -16,7 +16,6 @@ from torsionlab.toric import (
     boundary_covector,
     coordinate_intervals,
     cylinder_factor,
-    displacement_bound,
     enumerate_disks,
     facet_areas,
     floer_cohomology,
@@ -276,7 +275,7 @@ def test_cohomology_cylinder_times_sphere():
     dec = floer_cohomology(model, [F(3, 4), F(1, 2)])
     assert dec.betti == 0
     assert dec.torsion == (F(3, 4), F(3, 4))
-    assert displacement_bound(model, [F(3, 4), F(1, 2)]) == F(3, 4)
+    assert torsion_threshold_at(model, [F(3, 4), F(1, 2)]) == F(3, 4)
 
 
 def test_single_sphere_threshold_formula():
