@@ -6,6 +6,13 @@ spheres) using +, -, *, /, ** and the functions sin, cos, exp, sqrt;
 pi is available as a constant.  On a plain euclidean plane the aliases
 x and y stand for x1 and y1.
 
+A field compiles its value and one fused gradient, returning every
+partial at once, when it is built.  It may also name coefficient symbols
+that stay free, such as c0 in "c0*x1**2"; it is then a family of
+Hamiltonians, compiled once with the coefficients as extra arguments,
+and bind(values) gives a member that shares the compiled callables.  A
+family compiles its time reversal once for all its members.
+
 Hofer norms follow the convention
 
     E-(H) = integral of -min_x H(t, x) over t in [0, 1]
@@ -20,7 +27,9 @@ explicit bounding box.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import sympy
@@ -39,7 +48,8 @@ _FUNCTIONS = {
 T_SYMBOL = sympy.Symbol("t", real=True)
 
 
-def _parse(space: PhaseSpace, expression) -> sympy.Expr:
+def _parse(space: PhaseSpace, expression,
+           coefficients: tuple[str, ...]) -> sympy.Expr:
     symbols = {name: sympy.Symbol(name, real=True)
                for name in space.coord_names}
     local = dict(_FUNCTIONS)
@@ -49,8 +59,16 @@ def _parse(space: PhaseSpace, expression) -> sympy.Expr:
         local.setdefault("x", symbols["x1"])
     if "y1" in symbols and "y" not in symbols:
         local.setdefault("y", symbols["y1"])
+    clash = [name for name in coefficients
+             if name in local or not name.isidentifier()]
+    if clash or len(set(coefficients)) < len(coefficients):
+        raise ValueError(
+            f"coefficient names {list(coefficients)} must be distinct "
+            "identifiers other than t, the coordinates and the functions")
+    params = {name: sympy.Symbol(name, real=True) for name in coefficients}
+    local.update(params)
     expr = sympy.sympify(expression, locals=local)
-    allowed = set(symbols.values()) | {T_SYMBOL}
+    allowed = set(symbols.values()) | set(params.values()) | {T_SYMBOL}
     stray = expr.free_symbols - allowed
     if stray:
         raise ValueError(
@@ -60,42 +78,72 @@ def _parse(space: PhaseSpace, expression) -> sympy.Expr:
 
 
 class HamiltonianField:
-    """Scalar Hamiltonian H(t, x) with exact symbolic derivatives."""
+    """Scalar Hamiltonian H(t, x) with exact symbolic derivatives.
 
-    def __init__(self, space: PhaseSpace, expression):
+    ``coefficients`` names symbols of the expression that stay free: the
+    field is then a family, compiled once with the coefficients as extra
+    arguments, and ``bind`` gives its members without compiling again.
+    """
+
+    def __init__(self, space: PhaseSpace, expression,
+                 coefficients: Sequence[str] = ()):
         self.space = space
-        self.expr = _parse(space, expression)
+        self.coefficients = tuple(coefficients)
+        self.expr = _parse(space, expression, self.coefficients)
         coords = [sympy.Symbol(name, real=True)
                   for name in space.coord_names]
-        args = [T_SYMBOL, *coords]
+        args = [T_SYMBOL, *coords,
+                *(sympy.Symbol(name, real=True)
+                  for name in self.coefficients)]
         self._value = sympy.lambdify(args, self.expr, modules="numpy")
-        self._partials = [
-            sympy.lambdify(args, sympy.diff(self.expr, c), modules="numpy")
-            for c in coords
-        ]
+        # one callable returning every partial, constants included
+        self._gradient = sympy.lambdify(
+            args, [sympy.diff(self.expr, c) for c in coords],
+            modules="numpy")
+        self._bound = None if self.coefficients else ()
+        # the compiled time reversal, shared by every bound member
+        self._reversal: dict = {}
 
-    def _evaluate(self, fn, t, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
+    def bind(self, values) -> "HamiltonianField":
+        """The member of this family with the given coefficient values;
+        it shares the compiled callables."""
+        values = tuple(float(v) for v in values)
+        if len(values) != len(self.coefficients):
+            raise ValueError(f"expected {len(self.coefficients)} values "
+                             f"for {list(self.coefficients)}")
+        member = copy.copy(self)
+        member._bound = values
+        return member
+
+    def _arguments(self, t, points: np.ndarray):
+        if self._bound is None:
+            raise ValueError(f"bind values to {list(self.coefficients)} "
+                             "before evaluating the family")
         flat = points.reshape(-1, self.space.dim)
         t_arr = np.asarray(t, dtype=float)
         if t_arr.ndim:
             # one time per point row, or anything broadcastable across
             # the leading point axes (e.g. a per-column time grid)
             t_arr = np.broadcast_to(t_arr, points.shape[:-1]).reshape(-1)
-        out = fn(t_arr, *(flat[:, i] for i in range(self.space.dim)))
-        out = np.asarray(out, dtype=float)
+        return flat, (t_arr, *(flat[:, i] for i in range(self.space.dim)),
+                      *self._bound)
+
+    def value(self, t, points) -> np.ndarray:
+        """H(t, points); t is a scalar or one value per point row."""
+        points = np.asarray(points, dtype=float)
+        flat, args = self._arguments(t, points)
+        out = np.asarray(self._value(*args), dtype=float)
         if out.shape != flat.shape[:1]:
             out = np.broadcast_to(out, flat.shape[:1])
         return out.reshape(points.shape[:-1])
 
-    def value(self, t, points) -> np.ndarray:
-        """H(t, points); t is a scalar or one value per point row."""
-        return self._evaluate(self._value, t, points)
-
     def gradient(self, t, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        parts = [self._evaluate(fn, t, points) for fn in self._partials]
-        return np.stack(parts, axis=-1)
+        flat, args = self._arguments(t, points)
+        out = np.empty(flat.shape)
+        for i, part in enumerate(self._gradient(*args)):
+            out[:, i] = part
+        return out.reshape(points.shape)
 
     def vector_field(self, t, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -103,12 +151,25 @@ class HamiltonianField:
             points, self.gradient(t, points))
 
     def time_reversed(self) -> "HamiltonianField":
-        """The Hamiltonian -H(1-t, x) generating the reversed path."""
-        reversed_expr = -self.expr.subs(T_SYMBOL, 1 - T_SYMBOL)
-        return HamiltonianField(self.space, reversed_expr)
+        """The Hamiltonian -H(1-t, x) generating the reversed path.
+
+        A family compiles its reversal once; a bound member gets the
+        reversed member with the same coefficient values.
+        """
+        family = self._reversal.get("family")
+        if family is None:
+            reversed_expr = -self.expr.subs(T_SYMBOL, 1 - T_SYMBOL)
+            family = HamiltonianField(self.space, reversed_expr,
+                                      self.coefficients)
+            self._reversal["family"] = family
+        if self._bound is None:
+            return family
+        return family.bind(self._bound)
 
     def __repr__(self):
-        return f"HamiltonianField({self.expr})"
+        values = "".join(f"; {name}={value!r}" for name, value
+                         in zip(self.coefficients, self._bound or ()))
+        return f"HamiltonianField({self.expr}{values})"
 
 
 class NormalizedField:

@@ -11,7 +11,11 @@ paths and strips through flow compositions:
 Each transform costs two sweeps over [0, 1] regardless of how many
 points ride along: one backward sweep applying (phi^1)^{-1} to every
 sample at once, then one forward sweep that drops each time slice off at
-its own extraction time.
+its own extraction time.  A sweep stacks its columns once into a single
+batch sorted by extraction time.  Between consecutive times the backward
+sweep advances the prefix of columns already started and the forward
+sweep the suffix not yet extracted, writing back in place; each column
+comes back as its slice of the batch.
 """
 
 from __future__ import annotations
@@ -56,41 +60,42 @@ def flow(H, t: float, point, max_step: float = 1e-3, t0: float = 0.0
     return out.reshape(arr.shape)
 
 
+def _sorted_batch(columns: Sequence[np.ndarray], times: Sequence[float],
+                  descending: bool):
+    """The columns stacked into one batch ordered by time (ties keep
+    their input order), the input index at each rank, the row offsets of
+    each rank in the batch, and the sorted times."""
+    sign = -1.0 if descending else 1.0
+    order = sorted(range(len(columns)), key=lambda i: sign * float(times[i]))
+    blocks = [np.asarray(columns[i], dtype=float) for i in order]
+    offsets = np.cumsum([0] + [block.shape[0] for block in blocks])
+    return (np.concatenate(blocks), order, offsets.tolist(),
+            [float(times[i]) for i in order])
+
+
 def transport_to_zero(H, columns: Sequence[np.ndarray],
                       times: Sequence[float], max_step: float = 1e-3
                       ) -> list[np.ndarray]:
     """Carry column i from its own start time times[i] back to time 0.
 
-    One descending sweep: columns join the active batch as the sweep
-    passes their start times.
+    One descending sweep over a batch sorted by start time: each
+    segment advances the prefix of columns already started.
     """
-    order = sorted(range(len(columns)), key=lambda i: -float(times[i]))
-    active: list[np.ndarray] = []
-    labels: list[int] = []
-    current = None
-    for i in order:
-        target = float(times[i])
-        if current is None:
-            current = target
-        elif target < current:
-            if active:
-                moved = _rk4_segment(H, np.concatenate(active), current,
-                                     target, max_step)
-                active = list(np.split(moved, np.cumsum(
-                    [a.shape[0] for a in active])[:-1]))
-            current = target
-        active.append(np.asarray(columns[i], dtype=float))
-        labels.append(i)
-    if current is None:
+    if not columns:
         return []
-    if current != 0.0 and active:
-        moved = _rk4_segment(H, np.concatenate(active), current, 0.0,
-                             max_step)
-        active = list(np.split(moved, np.cumsum(
-            [a.shape[0] for a in active])[:-1]))
+    batch, order, offsets, starts = _sorted_batch(columns, times, True)
+    current = starts[0]
+    for rank, target in enumerate(starts):
+        if target < current:
+            stop = offsets[rank]
+            batch[:stop] = _rk4_segment(H, batch[:stop], current, target,
+                                        max_step)
+            current = target
+    if current != 0.0:
+        batch = _rk4_segment(H, batch, current, 0.0, max_step)
     result: list[np.ndarray] = [None] * len(columns)
-    for label, block in zip(labels, active):
-        result[label] = block
+    for rank, i in enumerate(order):
+        result[i] = batch[offsets[rank]:offsets[rank + 1]]
     return result
 
 
@@ -98,20 +103,25 @@ def transport_from_zero(H, columns: Sequence[np.ndarray],
                         times: Sequence[float], max_step: float = 1e-3
                         ) -> list[np.ndarray]:
     """Carry all columns forward from time 0, extracting column i at
-    times[i].  One ascending sweep."""
-    order = sorted(range(len(columns)), key=lambda i: float(times[i]))
+    times[i].
+
+    One ascending sweep over a batch sorted by extraction time: each
+    segment advances the suffix of columns not yet extracted, so a
+    column's rows are final once the sweep passes its time.
+    """
+    if not columns:
+        return []
+    batch, order, offsets, targets = _sorted_batch(columns, times, False)
     result: list[np.ndarray] = [None] * len(columns)
-    active = [np.asarray(columns[i], dtype=float) for i in order]
     current = 0.0
     for rank, i in enumerate(order):
-        target = float(times[i])
+        target = targets[rank]
         if target > current:
-            tail = np.concatenate(active[rank:])
-            moved = _rk4_segment(H, tail, current, target, max_step)
-            sizes = np.cumsum([a.shape[0] for a in active[rank:]])[:-1]
-            active[rank:] = list(np.split(moved, sizes))
+            start = offsets[rank]
+            batch[start:] = _rk4_segment(H, batch[start:], current, target,
+                                         max_step)
             current = target
-        result[i] = active[rank]
+        result[i] = batch[offsets[rank]:offsets[rank + 1]]
     return result
 
 

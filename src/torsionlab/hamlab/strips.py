@@ -52,9 +52,17 @@ class StripMap:
         return self.points[-1]
 
     def partials(self) -> tuple[np.ndarray, np.ndarray]:
-        du_dtau = np.gradient(self.points, self.tau, axis=0, edge_order=2)
-        du_dt = np.gradient(self.points, self.t, axis=1, edge_order=2)
-        return du_dtau, du_dt
+        """(du/dtau, du/dt), computed on first use and kept read-only
+        on the strip, which is never changed after construction."""
+        cached = self.__dict__.get("_partials")
+        if cached is None:
+            du_dtau = np.gradient(self.points, self.tau, axis=0,
+                                  edge_order=2)
+            du_dt = np.gradient(self.points, self.t, axis=1, edge_order=2)
+            du_dtau.flags.writeable = du_dt.flags.writeable = False
+            cached = (du_dtau, du_dt)
+            object.__setattr__(self, "_partials", cached)
+        return cached
 
 
 def integrate_grid(strip: StripMap, values: np.ndarray) -> float:

@@ -201,18 +201,31 @@ def difference_hamiltonian(h0, h1, max_step: float = 1e-3
     return DifferenceHamiltonian(h0, h1, max_step)
 
 
-def _random_quadratic(rng, scale: float, with_time: bool = False) -> str:
-    c = [float(v) for v in rng.uniform(-scale, scale, size=7)]
-    expr = (f"{c[0]!r}*x1**2 + {c[1]!r}*x1*y1 + {c[2]!r}*y1**2"
-            f" + {c[3]!r}*x1 + {c[4]!r}*y1")
+_QUADRATIC = "c0*x1**2 + c1*x1*y1 + c2*y1**2 + c3*x1 + c4*y1"
+_COEFFICIENTS = ("c0", "c1", "c2", "c3", "c4", "c5", "c6")
+
+
+def _quadratic_family(space, with_time: bool = False) -> HamiltonianField:
+    """Quadratic Hamiltonians with coefficients c0..c4, plus the time
+    terms c5*t*x1 + c6*t*y1 when asked; drawn by _draw."""
     if with_time:
-        expr += f" + {c[5]!r}*t*x1 + {c[6]!r}*t*y1"
-    return expr
+        return HamiltonianField(space, _QUADRATIC + " + c5*t*x1 + c6*t*y1",
+                                _COEFFICIENTS)
+    return HamiltonianField(space, _QUADRATIC, _COEFFICIENTS[:5])
 
 
-def _random_linear(rng, scale: float) -> str:
-    c = [float(v) for v in rng.uniform(-scale, scale, size=2)]
-    return f"{c[0]!r}*x1 + {c[1]!r}*y1"
+def _linear_family(space) -> HamiltonianField:
+    return HamiltonianField(space, "c0*x1 + c1*y1", _COEFFICIENTS[:2])
+
+
+def _draw(rng, family: HamiltonianField, scale: float, size: int = 7
+          ) -> HamiltonianField:
+    """A member of the family with coefficients uniform in
+    [-scale, scale].  It consumes ``size`` draws whatever the family
+    uses, so a seed selects the same cases: quadratic draws take 7,
+    time terms or not, and linear ones 2."""
+    c = rng.uniform(-scale, scale, size=size)
+    return family.bind(c[:len(family.coefficients)])
 
 
 def _envelope(tau: np.ndarray) -> np.ndarray:
@@ -244,8 +257,9 @@ def suite_energy(seed: int = 0, resolution: float = 1 / 256,
     spacings = [resolution * 4, resolution * 2, resolution]
     ratios: list[float] = []
     worst = 0.0
+    quadratic = _quadratic_family(space)
     for index in range(cases):
-        H = HamiltonianField(space, _random_quadratic(rng, 0.25))
+        H = _draw(rng, quadratic, 0.25)
         rho = rho_plus() if index % 2 == 0 else rho_k(2.0)
         p0 = rng.uniform(-0.25, 0.25, size=2)
         coef = rng.uniform(-0.03, 0.03, size=(2, 3))
@@ -289,10 +303,11 @@ def suite_actiondiff(seed: int = 0, resolution: float = 1 / 512,
     s = np.linspace(0.0, 1.0, 9)
     t = np.linspace(0.0, 1.0, nt)
     worst = 0.0
+    linear = _linear_family(space)
+    quadratic = _quadratic_family(space)
     for index in range(cases):
-        expr = (_random_linear(rng, 0.4) if index % 2 == 0
-                else _random_quadratic(rng, 0.25))
-        H = HamiltonianField(space, expr)
+        H = (_draw(rng, linear, 0.4, 2) if index % 2 == 0
+             else _draw(rng, quadratic, 0.25))
         alpha = rng.uniform(-0.4, 0.4, size=(2, 3))
         beta = rng.uniform(-0.3, 0.3, size=(2, 3))
         tt = t[None, :]
@@ -335,11 +350,10 @@ def suite_hat(seed: int = 0, resolution: float = None, tol: float = 1e-8,
     grid = np.stack([gx.ravel(), gy.ravel()], axis=-1)
     t_nodes = np.linspace(0.0, 1.0, 25)
     worst = 0.0
+    quadratic = _quadratic_family(space, with_time=True)
     for _ in range(cases):
-        h0 = HamiltonianField(space, _random_quadratic(rng, 0.5,
-                                                       with_time=True))
-        h1 = HamiltonianField(space, _random_quadratic(rng, 0.5,
-                                                       with_time=True))
+        h0 = _draw(rng, quadratic, 0.5)
+        h1 = _draw(rng, quadratic, 0.5)
         diff = difference_hamiltonian(h0, h1, max_step=2e-3)
         images = diff.psi_images(t_nodes, grid)
         hat_min = np.empty_like(t_nodes)

@@ -383,9 +383,13 @@ def from_text(text: str, trunc: Level = INFINITE) -> NovikovElement:
             raise ValueError(f"cannot parse Novikov term {body!r}; "
                              "terms are COEFF*T(p/q)")
         coeff_text, t_text = match.group("coeff", "t")
-        coeff = Fraction(coeff_text) if coeff_text else Fraction(1)
-        terms.append((sign * coeff,
-                      Fraction(t_text) if t_text else Fraction(0)))
+        try:
+            coeff = Fraction(coeff_text) if coeff_text else Fraction(1)
+            t_exp = Fraction(t_text) if t_text else Fraction(0)
+        except ZeroDivisionError:
+            raise ValueError(f"cannot parse Novikov term {body!r}: zero "
+                             "denominator; terms are COEFF*T(p/q)") from None
+        terms.append((sign * coeff, t_exp))
     return NovikovElement(terms, trunc)
 
 

@@ -202,6 +202,19 @@ def test_snf_rejects_e_term_while_reading_matrix(capsys, tmp_path):
             in err)
 
 
+def test_snf_rejects_zero_denominator_while_reading_matrix(capsys,
+                                                           tmp_path):
+    path = tmp_path / "zero_denominator.json"
+    path.write_text(json.dumps({
+        "rows": 1, "cols": 1, "entries": [["1/0"]],
+    }))
+    code, out, err = invoke(capsys, "snf", "--matrix", str(path))
+    assert code == 2
+    assert out == ""
+    assert ("cannot parse Novikov term '1/0': zero denominator; terms are "
+            "COEFF*T(p/q)" in err)
+
+
 def test_missing_matrix_file_exits_2(capsys):
     code, _, err = invoke(capsys, "snf", "--matrix", "/no/such/file.json")
     assert code == 2

@@ -119,3 +119,69 @@ def test_random_quadratics_have_nonnegative_norm():
         norms = hofer_norms(H, box=BOX, resolution=17, time_nodes=9)
         assert norms.norm >= 0.0
         assert norms.norm == pytest.approx(norms.e_minus + norms.e_plus)
+
+
+# -- coefficient families ---------------------------------------------------
+
+FAMILY = ("c0*x1**2 + c1*x1*y1 + c2*y1**2 + c3*x1 + c4*y1"
+          " + c5*t*x1 + c6*t*y1")
+NAMES = ("c0", "c1", "c2", "c3", "c4", "c5", "c6")
+
+
+def test_bound_family_matches_literal_field():
+    space = euclidean_plane()
+    family = HamiltonianField(space, FAMILY, NAMES)
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        c = [float(v) for v in rng.uniform(-1.0, 1.0, size=7)]
+        literal = HamiltonianField(
+            space, f"{c[0]!r}*x1**2 + {c[1]!r}*x1*y1 + {c[2]!r}*y1**2"
+                   f" + {c[3]!r}*x1 + {c[4]!r}*y1"
+                   f" + {c[5]!r}*t*x1 + {c[6]!r}*t*y1")
+        member = family.bind(c)
+        points = rng.uniform(-2.0, 2.0, size=(40, 2))
+        times = rng.uniform(0.0, 1.0, size=40)
+        for t in (float(times[0]), times):
+            assert np.allclose(member.value(t, points),
+                               literal.value(t, points),
+                               rtol=0.0, atol=1e-12)
+            assert np.allclose(member.gradient(t, points),
+                               literal.gradient(t, points),
+                               rtol=0.0, atol=1e-12)
+            assert np.allclose(member.time_reversed().value(t, points),
+                               literal.time_reversed().value(t, points),
+                               rtol=0.0, atol=1e-12)
+
+
+def test_members_share_the_compiled_family():
+    family = HamiltonianField(euclidean_plane(), "c0*x1 + c1*y1",
+                              ("c0", "c1"))
+    one, two = family.bind([1.0, 2.0]), family.bind([3.0, -1.0])
+    assert one._value is two._value is family._value
+    assert one.time_reversed()._value is two.time_reversed()._value
+    p = np.array([1.0, 1.0])
+    assert one.value(0.0, p) == pytest.approx(3.0)
+    assert two.value(0.0, p) == pytest.approx(2.0)
+    assert one.gradient(0.5, p) == pytest.approx([1.0, 2.0])
+
+
+def test_constant_partials_broadcast_in_the_fused_gradient():
+    H = HamiltonianField(euclidean_plane(), "2*x1 + c0", ("c0",)).bind([5])
+    grads = H.gradient(0.3, np.zeros((4, 3, 2)))
+    assert grads.shape == (4, 3, 2)
+    assert np.all(grads[..., 0] == 2.0) and np.all(grads[..., 1] == 0.0)
+
+
+def test_family_must_be_bound_before_evaluation():
+    family = HamiltonianField(euclidean_plane(), "c0*x1", ("c0",))
+    with pytest.raises(ValueError):
+        family.value(0.0, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        family.bind([1.0, 2.0])
+
+
+@pytest.mark.parametrize("names", [("x1",), ("t",), ("sin",), ("c0", "c0"),
+                                   ("x",)])
+def test_coefficient_names_may_not_clash(names):
+    with pytest.raises(ValueError):
+        HamiltonianField(euclidean_plane(), "x1", names)

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from torsionlab.errors import StepFailure
 from torsionlab.hamlab import (HamiltonianField, euclidean_plane, flow,
                                gauge_minus, gauge_plus, sphere_space)
+from torsionlab.hamlab.flow import transport_from_zero, transport_to_zero
 
 
 def rotation_field():
@@ -145,3 +147,42 @@ def test_gauge_strip_rows_match_paths():
     for row, original in zip(moved, rows):
         alone = gauge_plus(H, "first", original, t_nodes=t)
         assert np.allclose(row, alone, atol=1e-13)
+
+
+# -- the staggered sweeps against one flow per column ----------------------
+
+LINEAR = HamiltonianField(euclidean_plane(), "3/4*x1 - 1/2*y1")
+ROTATION = rotation_field()
+
+
+@st.composite
+def sweep_columns(draw):
+    """Columns of 0-3 points with times in [0, 1]: ties, the ends and
+    empty columns included, and sometimes no columns at all."""
+    times = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0, 0.5]),
+                  st.floats(0.0, 1.0, allow_nan=False)),
+        max_size=6))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    columns = [rng.uniform(-1.0, 1.0, size=(draw(st.integers(0, 3)), 2))
+               for _ in times]
+    return columns, times
+
+
+@pytest.mark.parametrize("H,tol", [(LINEAR, 1e-12), (ROTATION, 1e-9)],
+                         ids=["linear", "rotation"])
+@given(case=sweep_columns())
+def test_sweeps_match_one_flow_per_column(H, tol, case):
+    # RK4 is exact for the linear field in any step partition, so there
+    # the sweeps must agree with single flows to rounding
+    columns, times = case
+    to_zero = transport_to_zero(H, columns, times, max_step=1 / 64)
+    from_zero = transport_from_zero(H, columns, times, max_step=1 / 64)
+    assert len(to_zero) == len(from_zero) == len(columns)
+    for column, t, back, forth in zip(columns, times, to_zero, from_zero):
+        assert back.shape == forth.shape == column.shape
+        assert np.allclose(back, flow(H, 0.0, column, max_step=1 / 64, t0=t),
+                           rtol=0.0, atol=tol)
+        assert np.allclose(forth, flow(H, t, column, max_step=1 / 64),
+                           rtol=0.0, atol=tol)

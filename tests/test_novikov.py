@@ -287,7 +287,8 @@ def test_parse_is_liberal_about_order_and_space():
 
 
 @pytest.mark.parametrize("bad", ["", "+", "T(", "T(1)*T(2)", "x", "1..2",
-                                 "T(1.5)", "e(1/2)", "e(1)", "T(1)*e(1)"])
+                                 "T(1.5)", "e(1/2)", "e(1)", "T(1)*e(1)",
+                                 "1/0", "T(1/0)", "3*T(2/0)"])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         from_text(bad)

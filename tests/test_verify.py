@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import sympy
 
 from torsionlab.hamlab import (HamiltonianField, StripMap,
                                difference_hamiltonian, euclidean_plane,
@@ -179,3 +180,22 @@ def test_run_suite_dispatch():
     assert report["passed"]
     with pytest.raises(ValueError):
         run_suite("nonsense")
+
+
+@pytest.mark.parametrize("suite,families", [(suite_hat, 2),
+                                            (suite_energy, 1)])
+def test_suites_compile_each_family_once(monkeypatch, suite, families):
+    """A suite compiles its random families once per call, not per case:
+    two lambdify calls (value and fused gradient) per family, the time
+    reversal of hat's family included."""
+    calls = []
+    original = sympy.lambdify
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sympy, "lambdify", counting)
+    report = suite(seed=5, cases=4)
+    assert report["passed"]
+    assert len(calls) <= 2 * families
