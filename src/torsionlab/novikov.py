@@ -27,7 +27,11 @@ whenever they fall below the truncation budget; floating point is never
 involved.
 
 Elements are immutable values: every operation returns a new element, and
-sharing across threads is safe.
+sharing across threads is safe.  Outside input (the constructor,
+``monomial``, ``from_text``, ``parse``) is validated once into canonical
+terms: Fraction pairs sorted by exponent, no zero coefficient, nothing at
+or above ``trunc``.  Ring operations keep that form and build their
+results without validating again.
 
 >>> x = from_text("1 - T(1)")
 >>> to_text(invert(x.retruncate(3)))
@@ -38,21 +42,28 @@ sharing across threads is safe.
 
 from __future__ import annotations
 
+import heapq
 import re
+from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import PrecisionExhausted
-from .rationals import INFINITE, Level, as_level, format_level, is_infinite
+from .rationals import INFINITE, Level, as_level, is_infinite
 
 # A term is (coefficient, T-exponent).
 Term = tuple[Fraction, Fraction]
 
 def _canonical_terms(terms: Iterable[tuple], trunc: Level) -> tuple[Term, ...]:
+    """Validate outside input: coerce to Fraction, merge equal exponents,
+    drop zeros and terms at or above ``trunc``, sort by exponent."""
     merged: dict[Fraction, Fraction] = {}
     for coeff, t_exp in terms:
-        coeff = Fraction(coeff)
-        t_exp = Fraction(t_exp)
+        if type(coeff) is not Fraction:
+            coeff = Fraction(coeff)
+        if type(t_exp) is not Fraction:
+            t_exp = Fraction(t_exp)
         if coeff == 0 or t_exp >= trunc:
             continue
         acc = merged.get(t_exp, _ZERO_FRACTION) + coeff
@@ -79,6 +90,18 @@ class NovikovElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("NovikovElement is immutable")
+
+    @classmethod
+    def _trusted(cls, terms: tuple[Term, ...],
+                 trunc: Level) -> "NovikovElement":
+        """Wrap terms that are already canonical: Fraction pairs sorted by
+        exponent, no zero coefficient, every exponent below ``trunc``.
+        Ring results are built here; outside input goes through
+        ``__init__``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     # -- constructors -------------------------------------------------
 
@@ -114,20 +137,14 @@ class NovikovElement:
             raise ValueError("zero element has no leading term")
         return self.terms[0]
 
-    def is_integral(self) -> bool:
-        """Membership in the bounded subring (valuation >= 0)."""
-        return self.valuation() >= 0
-
-    def has_positive_valuation(self) -> bool:
-        """Membership in the maximal ideal (valuation > 0)."""
-        return self.valuation() > 0
-
     def retruncate(self, trunc: Level) -> "NovikovElement":
         """Drop terms at or above ``trunc``; keeps the smaller level."""
         level = min(self.trunc, as_level(trunc))
         if level == self.trunc:
             return self
-        return NovikovElement(self.terms, level)
+        terms = self.terms
+        return NovikovElement._trusted(
+            terms[:bisect_left(terms, level, key=itemgetter(1))], level)
 
     # -- ring operations ----------------------------------------------
 
@@ -143,20 +160,19 @@ class NovikovElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return NovikovElement(self.terms + other.terms,
-                              min(self.trunc, other.trunc))
+        return _merge(self, other.terms, other.trunc, False)
 
     __radd__ = __add__
 
     def __neg__(self) -> "NovikovElement":
-        return NovikovElement(
-            ((-c, l) for c, l in self.terms), self.trunc)
+        return NovikovElement._trusted(
+            tuple([(-c, l) for c, l in self.terms]), self.trunc)
 
     def __sub__(self, other) -> "NovikovElement":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _merge(self, other.terms, other.trunc, True)
 
     def __rsub__(self, other) -> "NovikovElement":
         return (-self) + other
@@ -169,14 +185,29 @@ class NovikovElement:
                     other.trunc + self.valuation())
         if is_infinite(trunc):
             trunc = INFINITE
-        acc: dict[Fraction, Fraction] = {}
-        for a, la in self.terms:
-            for b, lb in other.terms:
+        left, right = self.terms, other.terms
+        if len(left) > len(right):
+            left, right = right, left
+        if len(left) == 1:
+            # a monomial times a sorted sum stays sorted and nonzero
+            (a, la), = left
+            terms = []
+            for b, lb in right:
                 level = la + lb
                 if level >= trunc:
-                    continue
-                acc[level] = acc.get(level, _ZERO_FRACTION) + a * b
-        return NovikovElement(((c, l) for l, c in acc.items()), trunc)
+                    break
+                terms.append((a * b, level))
+            return NovikovElement._trusted(tuple(terms), trunc)
+        acc: dict[Fraction, Fraction] = {}
+        for a, la in left:
+            for b, lb in right:
+                level = la + lb
+                if level >= trunc:
+                    break
+                prev = acc.get(level)
+                acc[level] = a * b if prev is None else prev + a * b
+        return NovikovElement._trusted(
+            tuple([(c, l) for l, c in sorted(acc.items()) if c]), trunc)
 
     __rmul__ = __mul__
 
@@ -206,17 +237,49 @@ class NovikovElement:
     def __hash__(self) -> int:
         return hash((self.terms, self.trunc))
 
-    def agrees_with(self, other: "NovikovElement") -> bool:
-        """True when the difference vanishes below the shared level."""
-        diff = self - other
-        return diff.valuation() >= diff.trunc
-
     def __repr__(self) -> str:
         level = "" if is_infinite(self.trunc) else f" (mod T^{self.trunc})"
         return f"<{to_text(self)}{level}>"
 
     def __iter__(self) -> Iterator[Term]:
         return iter(self.terms)
+
+
+def _merge(x: NovikovElement, terms: tuple[Term, ...], trunc: Level,
+           negate: bool) -> NovikovElement:
+    """x + y, or x - y when ``negate``, for y given by its canonical
+    ``terms`` and ``trunc``: a merge of two sorted term lists."""
+    level = min(x.trunc, trunc)
+    left = x.terms
+    if not terms and level == x.trunc:
+        return x
+    out: list[Term] = []
+    i = j = 0
+    n_left, n_right = len(left), len(terms)
+    while i < n_left and j < n_right:
+        a, la = left[i]
+        b, lb = terms[j]
+        if la == lb:
+            c = a - b if negate else a + b
+            if c:
+                out.append((c, la))
+            i += 1
+            j += 1
+        elif la < lb:
+            out.append(left[i])
+            i += 1
+        else:
+            out.append((-b, lb) if negate else terms[j])
+            j += 1
+    out.extend(left[i:])
+    if negate:
+        out.extend([(-b, lb) for b, lb in terms[j:]])
+    else:
+        out.extend(terms[j:])
+    if not is_infinite(level):
+        while out and out[-1][1] >= level:
+            out.pop()
+    return NovikovElement._trusted(tuple(out), level)
 
 
 def divide_exact(x: NovikovElement, y: NovikovElement) -> NovikovElement:
@@ -244,20 +307,48 @@ def divide_exact(x: NovikovElement, y: NovikovElement) -> NovikovElement:
     limit = INFINITE
     if is_infinite(out_trunc) and x.terms:
         limit = x.terms[-1][1] - y.terms[-1][1]
+    # The remainder is a dict from exponent to coefficient with a heap of
+    # its exponents; entries cancelled to zero leave stale heap keys.
+    # Terms at or above ``level`` have been dropped: each step lowers it
+    # to y.trunc + (quotient exponent), the level of the subtracted
+    # multiple of y.  Every exponent a step adds lies above the leading
+    # one it cancels, so a popped exponent never comes back.
+    remainder = {l: c for c, l in x.terms}
+    heap = list(remainder)
+    level = x.trunc
+    tail = y.terms[1:]
     quotient: list[Term] = []
-    remainder = x
-    while remainder.terms:
-        rc, rl = remainder.leading_term()
-        level = rl - yl
-        if level >= out_trunc:
+    while heap:
+        rl = heapq.heappop(heap)
+        rc = remainder.pop(rl, None)
+        if rc is None:
+            continue
+        if rl >= level:
             break
-        if level > limit:
+        q_level = rl - yl
+        if q_level >= out_trunc:
+            break
+        if q_level > limit:
             raise PrecisionExhausted(
                 "quotient is an infinite series; set a finite truncation")
-        piece = (rc / yc, level)
-        quotient.append(piece)
-        remainder = remainder - NovikovElement((piece,)) * y
-    return NovikovElement(quotient, out_trunc)
+        q = rc / yc
+        quotient.append((q, q_level))
+        level = min(level, y.trunc + q_level)
+        for c, l in tail:
+            e = q_level + l
+            if e >= level:
+                break
+            value = remainder.get(e)
+            if value is None:
+                remainder[e] = -q * c
+                heapq.heappush(heap, e)
+            else:
+                value -= q * c
+                if value:
+                    remainder[e] = value
+                else:
+                    del remainder[e]
+    return NovikovElement._trusted(tuple(quotient), out_trunc)
 
 
 def invert(x: NovikovElement) -> NovikovElement:
@@ -271,13 +362,6 @@ def invert(x: NovikovElement) -> NovikovElement:
     'T(-2)'
     """
     return divide_exact(NovikovElement.one(), x)
-
-
-def is_divisible(x: NovikovElement, y: NovikovElement) -> bool:
-    """Whether x / y stays in the bounded subring."""
-    if y.is_zero():
-        return x.is_zero()
-    return x.valuation() >= y.valuation()
 
 
 def default_truncation(values: Iterable[Level]) -> Level:

@@ -20,13 +20,14 @@ level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 from .errors import NotAComplex, PrecisionExhausted
 from .novikov import NovikovElement, divide_exact, parse
-from .rationals import INFINITE, Level, as_level, format_level, is_infinite
+from .rationals import INFINITE, Level, as_level, format_level
 
 
 class NovikovMatrix:
@@ -75,11 +76,6 @@ class NovikovMatrix:
 
     def entry(self, i: int, j: int) -> NovikovElement:
         return self.entries[i][j]
-
-    def with_entry(self, i: int, j: int, value) -> "NovikovMatrix":
-        grid = [list(row) for row in self.entries]
-        grid[i][j] = parse(value)
-        return NovikovMatrix(grid, self.trunc)
 
     def __mul__(self, other: "NovikovMatrix") -> "NovikovMatrix":
         if not isinstance(other, NovikovMatrix):
@@ -132,16 +128,32 @@ class NovikovMatrix:
 
 @dataclass(frozen=True)
 class SmithNormalForm:
-    """u * matrix * v = diagonal, with u, v invertible over the subring."""
+    """u * matrix * v = diagonal, with u, v invertible over the subring.
 
-    u: NovikovMatrix
+    The normal form keeps only the diagonal and the pivots; u and v are
+    computed from the source matrix on first read.
+    """
+
     diagonal: NovikovMatrix
-    v: NovikovMatrix
     pivot_valuations: tuple[Fraction, ...]
+    _source: NovikovMatrix = field(repr=False, compare=False)
 
     @property
     def rank(self) -> int:
         return len(self.pivot_valuations)
+
+    @cached_property
+    def _transforms(self) -> tuple[NovikovMatrix, NovikovMatrix]:
+        _, _, u, v = _eliminate(self._source, accumulate=True)
+        return NovikovMatrix(u), NovikovMatrix(v)
+
+    @cached_property
+    def u(self) -> NovikovMatrix:
+        return self._transforms[0]
+
+    @cached_property
+    def v(self) -> NovikovMatrix:
+        return self._transforms[1]
 
 
 def smith_normal_form(matrix: NovikovMatrix) -> SmithNormalForm:
@@ -153,11 +165,25 @@ def smith_normal_form(matrix: NovikovMatrix) -> SmithNormalForm:
     succeeds because the pivot's valuation is minimal.  Diagonal entries
     come out with non-decreasing valuations and leading coefficient one.
     """
+    work, pivots, _, _ = _eliminate(matrix, accumulate=False)
+    return SmithNormalForm(
+        diagonal=NovikovMatrix(work, matrix.trunc),
+        pivot_valuations=tuple(pivots),
+        _source=matrix,
+    )
+
+
+def _eliminate(matrix: NovikovMatrix, accumulate: bool):
+    """The elimination behind smith_normal_form.  Returns the reduced
+    grid, the pivot valuations and, when ``accumulate``, the row and
+    column transforms u and v as grids (None otherwise)."""
     work = [list(row) for row in matrix.entries]
-    u = [list(row) for row in
-         NovikovMatrix.identity(matrix.rows).entries]
-    v = [list(row) for row in
-         NovikovMatrix.identity(matrix.cols).entries]
+    u = v = None
+    if accumulate:
+        u = [list(row) for row in
+             NovikovMatrix.identity(matrix.rows).entries]
+        v = [list(row) for row in
+             NovikovMatrix.identity(matrix.cols).entries]
     pivots: list[Fraction] = []
 
     for k in range(min(matrix.rows, matrix.cols)):
@@ -174,19 +200,22 @@ def smith_normal_form(matrix: NovikovMatrix) -> SmithNormalForm:
         pi, pj = pivot_pos
         if pi != k:
             work[k], work[pi] = work[pi], work[k]
-            u[k], u[pi] = u[pi], u[k]
+            if accumulate:
+                u[k], u[pi] = u[pi], u[k]
         if pj != k:
             for row in work:
                 row[k], row[pj] = row[pj], row[k]
-            for row in v:
-                row[k], row[pj] = row[pj], row[k]
+            if accumulate:
+                for row in v:
+                    row[k], row[pj] = row[pj], row[k]
 
         pivot = work[k][k]
         # normalize the leading coefficient to 1
         coeff, _ = pivot.leading_term()
         unit = NovikovElement.monomial(1 / coeff)
         work[k] = [unit * value for value in work[k]]
-        u[k] = [unit * value for value in u[k]]
+        if accumulate:
+            u[k] = [unit * value for value in u[k]]
         pivot = work[k][k]
         pivots.append(Fraction(pivot_val))
 
@@ -197,8 +226,9 @@ def smith_normal_form(matrix: NovikovMatrix) -> SmithNormalForm:
             factor = divide_exact(work[i][k], pivot)
             work[i] = [work[i][j] - factor * work[k][j]
                        for j in range(matrix.cols)]
-            u[i] = [u[i][j] - factor * u[k][j]
-                    for j in range(matrix.rows)]
+            if accumulate:
+                u[i] = [u[i][j] - factor * u[k][j]
+                        for j in range(matrix.rows)]
         # the pivot column is now zero off the diagonal, so clearing the
         # pivot row only changes the row itself
         for j in range(matrix.cols):
@@ -207,15 +237,11 @@ def smith_normal_form(matrix: NovikovMatrix) -> SmithNormalForm:
             factor = divide_exact(work[k][j], pivot)
             for i in range(matrix.rows):
                 work[i][j] = work[i][j] - factor * work[i][k]
-            for i in range(matrix.cols):
-                v[i][j] = v[i][j] - factor * v[i][k]
+            if accumulate:
+                for i in range(matrix.cols):
+                    v[i][j] = v[i][j] - factor * v[i][k]
 
-    return SmithNormalForm(
-        u=NovikovMatrix(u),
-        diagonal=NovikovMatrix(work, matrix.trunc),
-        v=NovikovMatrix(v),
-        pivot_valuations=tuple(pivots),
-    )
+    return work, pivots, u, v
 
 
 class ChainComplex:
@@ -444,9 +470,3 @@ def complex_from_json(data: dict, trunc: Level | None = None) -> ChainComplex:
         matrices.append(matrix)
     return ChainComplex(ranks, matrices)
 
-
-def decomposition_to_json(decomposition: ModuleDecomposition) -> dict:
-    return {
-        "betti": decomposition.betti,
-        "torsion": [str(value) for value in decomposition.torsion],
-    }

@@ -5,7 +5,6 @@ before the implementation existed; see the oracle comments inline.
 """
 
 import doctest
-import math
 import random
 from fractions import Fraction
 
@@ -20,10 +19,12 @@ from torsionlab.novikov import (
     divide_exact,
     from_text,
     invert,
-    is_divisible,
     to_text,
 )
 from torsionlab.rationals import INFINITE
+
+import ring_oracle
+from ring_oracle import agrees_with
 
 F = Fraction
 
@@ -63,17 +64,6 @@ def test_valuation_examples():
     assert nov("2*T(3/2) + T(2)").valuation() == F(3, 2)
     assert NovikovElement.zero().valuation() == INFINITE
     assert nov("5").valuation() == 0
-
-
-def test_membership_tests():
-    assert nov("T(1/2)").is_integral()
-    assert nov("T(1/2)").has_positive_valuation()
-    assert nov("3").is_integral()
-    assert not nov("3").has_positive_valuation()
-    assert not nov("T(-1)").is_integral()
-    # zero belongs to both
-    assert NovikovElement.zero().is_integral()
-    assert NovikovElement.zero().has_positive_valuation()
 
 
 def random_element(rng, max_terms=4, denominator=4):
@@ -142,7 +132,7 @@ def test_ring_laws_at_finite_truncation():
         right = x * y + x * z
         # distributivity holds below the shared reliable level; the trunc
         # metadata itself may differ when y + z cancels leading terms
-        assert left.agrees_with(right)
+        assert agrees_with(left, right)
         assert x + NovikovElement.zero() == x
         assert x * NovikovElement.one() == x
 
@@ -215,15 +205,15 @@ def test_divide_exact_valuations_subtract():
             continue
         quotient = divide_exact(x, y)
         assert quotient.valuation() == x.valuation() - y.valuation()
-        assert (quotient * y).agrees_with(x)
+        assert agrees_with(quotient * y, x)
 
 
 def test_divisibility_is_valuation_comparison():
-    assert is_divisible(nov("T(2)"), nov("T(1) - T(2)"))
-    assert not is_divisible(nov("T(1)"), nov("T(2)"))
+    # the quotient lies in the bounded subring exactly when the divisor's
+    # valuation is at most the dividend's
     quotient = divide_exact(nov("T(2)", trunc=6), nov("T(1) - T(2)"))
-    assert quotient.is_integral()
     assert quotient.valuation() == 1
+    assert divide_exact(nov("T(1)"), nov("T(2)")).valuation() < 0
 
 
 def test_division_by_zero():
@@ -234,7 +224,7 @@ def test_division_by_zero():
 def test_division_with_negative_valuation_result():
     quotient = divide_exact(nov("T(1)"), nov("T(3)"))
     assert quotient == NovikovElement.monomial(1, -2)
-    assert not quotient.is_integral()
+    assert quotient.valuation() < 0
 
 
 # -- truncation helpers -------------------------------------------------
@@ -308,3 +298,92 @@ def test_scalar_coercion():
     assert nov("T(1)") + 1 == nov("1 + T(1)")
     assert 2 * nov("T(1)") == nov("2*T(1)")
     assert nov("T(1)") - F(1, 2) == nov("-1/2 + T(1)")
+
+
+# -- agreement with the element-by-element oracle --------------------------
+#
+# ring_oracle keeps the construction the ring ops replaced: raw terms
+# through one validating canonicalization, and long division that
+# subtracts a whole multiple of the divisor per quotient term.
+
+coefficients = st.fractions(-4, 4, max_denominator=6)
+exponents = st.fractions(-3, 6, max_denominator=4)
+levels = st.one_of(st.just(INFINITE),
+                   st.fractions(-2, 8, max_denominator=3))
+
+
+@st.composite
+def elements(draw, trunc=levels):
+    terms = draw(st.lists(st.tuples(coefficients, exponents), max_size=5))
+    return NovikovElement(terms, draw(trunc))
+
+
+def outcome(compute):
+    """Terms and level of the result, or the exception it raised."""
+    try:
+        value = compute()
+    except (ZeroDivisionError, PrecisionExhausted) as exc:
+        return type(exc), str(exc)
+    return value.terms, value.trunc
+
+
+def is_canonical(x):
+    exps = [l for _, l in x.terms]
+    return (all(type(c) is Fraction and type(l) is Fraction and c != 0
+                for c, l in x.terms)
+            and all(a < b for a, b in zip(exps, exps[1:]))
+            and all(l < x.trunc for l in exps)
+            and (type(x.trunc) is Fraction or x.trunc == INFINITE))
+
+
+@given(elements(), elements())
+def test_sum_difference_product_match_oracle(x, y):
+    assert outcome(lambda: x + y) == outcome(lambda: ring_oracle.add(x, y))
+    assert outcome(lambda: x - y) == outcome(lambda: ring_oracle.sub(x, y))
+    assert outcome(lambda: x * y) == outcome(lambda: ring_oracle.mul(x, y))
+    assert outcome(lambda: -x) == outcome(lambda: ring_oracle.neg(x))
+
+
+@given(elements(), elements())
+def test_divide_exact_matches_oracle(x, y):
+    assert (outcome(lambda: divide_exact(x, y))
+            == outcome(lambda: ring_oracle.divide_exact(x, y)))
+
+
+@given(elements(), elements(trunc=st.just(INFINITE)))
+def test_divide_exact_of_a_multiple_matches_oracle(q, y):
+    x = q * y
+    assert (outcome(lambda: divide_exact(x, y))
+            == outcome(lambda: ring_oracle.divide_exact(x, y)))
+
+
+@given(elements())
+def test_invert_matches_oracle(x):
+    assert outcome(lambda: invert(x)) == outcome(lambda: ring_oracle.invert(x))
+
+
+@given(coefficients.filter(bool), exponents,
+       coefficients.filter(bool), st.fractions(1, 3, max_denominator=4))
+def test_infinite_series_quotient_raises_like_oracle(c, l, b, a):
+    # T^l / (1 + b T^a) is an infinite series for every a > 0, b != 0
+    x = NovikovElement.monomial(c, l)
+    y = NovikovElement([(1, 0), (b, a)])
+    with pytest.raises(PrecisionExhausted) as product:
+        divide_exact(x, y)
+    with pytest.raises(PrecisionExhausted) as oracle:
+        ring_oracle.divide_exact(x, y)
+    assert str(product.value) == str(oracle.value)
+
+
+@given(elements(), elements(), levels)
+def test_ring_results_are_canonical(x, y, level):
+    results = [x + y, x - y, x * y, -x, x.retruncate(level)]
+    for compute in (lambda: divide_exact(x, y), lambda: invert(x)):
+        try:
+            results.append(compute())
+        except (ZeroDivisionError, PrecisionExhausted):
+            pass
+    for result in results:
+        assert is_canonical(result), result
+    assert x.retruncate(level) == ring_oracle.element(
+        x.terms, min(x.trunc, level))

@@ -9,13 +9,16 @@ Two independent oracles back these tests:
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from torsionlab import valmat
+from torsionlab.cli import run
 from torsionlab.errors import NotAComplex, PrecisionExhausted
-from torsionlab.novikov import NovikovElement, from_text, to_text
+from torsionlab.novikov import NovikovElement, parse, to_text
 from torsionlab.rationals import INFINITE
 from torsionlab.valmat import (
     ChainComplex,
@@ -38,6 +41,13 @@ F = Fraction
 
 def matrix(rows, trunc=None):
     return NovikovMatrix(rows, trunc)
+
+
+def with_entry(m, i, j, value):
+    """Copy of ``m`` with entry (i, j) replaced."""
+    grid = [list(row) for row in m.entries]
+    grid[i][j] = parse(value)
+    return NovikovMatrix(grid, m.trunc)
 
 
 def determinant(entries):
@@ -159,17 +169,93 @@ def test_snf_torsion_invariant_under_unimodular_ops():
         for _ in range(25):
             if rng.random() < 0.5 and m.rows > 1:
                 i, j = rng.sample(range(m.rows), 2)
-                op = NovikovMatrix.identity(m.rows).with_entry(
-                    i, j, rng.choice(mixers))
-                op = op.with_entry(i, i, rng.choice(units))
+                op = with_entry(NovikovMatrix.identity(m.rows),
+                                i, j, rng.choice(mixers))
+                op = with_entry(op, i, i, rng.choice(units))
                 m = op * m
             elif m.cols > 1:
                 i, j = rng.sample(range(m.cols), 2)
-                op = NovikovMatrix.identity(m.cols).with_entry(
-                    i, j, rng.choice(mixers))
-                op = op.with_entry(j, j, rng.choice(units))
+                op = with_entry(NovikovMatrix.identity(m.cols),
+                                i, j, rng.choice(mixers))
+                op = with_entry(op, j, j, rng.choice(units))
                 m = m * op
         assert smith_normal_form(m).pivot_valuations == reference
+
+
+LONG_ENTRIES = ["0", "1 - 1/2*T(1/4) + T(2)", "2*T(1/2) - T(3/4) + 3*T(9/4)",
+                "-1 + T(1/4) + 1/2*T(5/2)", "T(1/4) + 2*T(1) - T(11/4)"]
+
+
+def long_matrix(rng, trunc):
+    rows = rng.randrange(2, 5)
+    cols = rng.randrange(2, 5)
+    return matrix(
+        [[rng.choice(LONG_ENTRIES) for _ in range(cols)] for _ in range(rows)],
+        trunc)
+
+
+def test_snf_pivots_and_diagonal_same_whether_transforms_read_or_not():
+    rng = random.Random(31)
+    for index in range(40):
+        m = (random_matrix(rng, trunc=F(rng.choice((4, 6))))
+             if index % 2 else long_matrix(rng, F(rng.choice((4, 8)))))
+        untouched = smith_normal_form(m)
+        read_first = smith_normal_form(m)
+        for name in ("v", "u") if index % 3 else ("u", "v"):
+            getattr(read_first, name)
+        assert read_first.pivot_valuations == untouched.pivot_valuations
+        assert read_first.diagonal == untouched.diagonal
+        assert read_first == untouched
+        # the accumulating rerun reproduces the same diagonal
+        work, pivots, _, _ = valmat._eliminate(m, accumulate=True)
+        assert NovikovMatrix(work, m.trunc) == untouched.diagonal
+        assert tuple(pivots) == untouched.pivot_valuations
+
+
+def test_snf_lazy_transforms_recompose_long_entries():
+    rng = random.Random(808)
+    for _ in range(12):
+        m = long_matrix(rng, F(rng.choice((4, 6, 8))))
+        form = smith_normal_form(m)
+        v = form.v              # read v before u
+        recomposed = form.u * m * v
+        assert (recomposed - form.diagonal).is_zero_below_truncation()
+
+
+def counting_elimination(monkeypatch):
+    calls = []
+    original = valmat._eliminate
+
+    def wrapper(m, accumulate):
+        calls.append(accumulate)
+        return original(m, accumulate)
+    monkeypatch.setattr(valmat, "_eliminate", wrapper)
+    return calls
+
+
+def test_snf_reading_pivots_runs_one_elimination(monkeypatch):
+    calls = counting_elimination(monkeypatch)
+    m = matrix([["T(1)", "1 - T(1)", "0"], ["T(1/2)", "T(2)", "1"]], F(6))
+    form = smith_normal_form(m)
+    assert form.pivot_valuations == (F(0), F(0))
+    assert form.rank == 2
+    assert len(form.diagonal.diagonal()) == 2
+    assert calls == [False]
+    u = form.u
+    assert calls == [False, True]
+    assert form.v is not None and form.u is u
+    assert calls == [False, True]
+
+
+def test_snf_command_runs_one_elimination(monkeypatch, tmp_path, capsys):
+    calls = counting_elimination(monkeypatch)
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(
+        {"rows": 2, "cols": 2, "entries": [["T(1/2) + T(1)", "2"],
+                                           ["0", "T(2)"]]}))
+    assert run(["snf", "--matrix", str(path)]) == 0
+    assert "pivot_valuations: 0, 5/2 (exact)" in capsys.readouterr().out
+    assert calls == [False]
 
 
 def test_snf_needs_finite_trunc_for_series_quotients():
