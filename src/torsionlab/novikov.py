@@ -11,9 +11,11 @@ at or above ``trunc`` have been dropped and the element is reliable only
 below that level.  ``trunc = inf`` marks an exact element.  Sums truncate
 at the smaller of the two levels.  Products truncate at
 
-    min(x.trunc + valuation(y),  y.trunc + valuation(x))
+    min(x.trunc + min(valuation(y), y.trunc),
+        y.trunc + min(valuation(x), x.trunc))
 
-so that no retained term could have been contaminated by a dropped one.
+so that no retained term could have been contaminated by a dropped one;
+a truncated zero counts as known to vanish up to its own level.
 Inversion and division are long division against the leading term; when
 the quotient is an infinite series, a finite truncation level is required
 and PrecisionExhausted is raised otherwise.
@@ -21,17 +23,25 @@ and PrecisionExhausted is raised otherwise.
 Elements have one text encoding, a sum of terms COEFF*T(p/q) (see
 to_text); matrix and complex files carry their entries in it.
 
-All exponents stay exact Fractions end to end.  Downstream quantities
-(valuations, torsion exponents, thresholds) are therefore exact rationals
-whenever they fall below the truncation budget; floating point is never
-involved.
+Inside an element the T-exponents and a finite truncation level are
+Python ints over one positive integer denominator, the element's own;
+``inf`` stays the level of an exact element.  Ring operations add,
+compare and hash those ints, and an operation on two elements over
+different denominators first brings both to the lcm of the two.
+Coefficients are Fractions.  The public values stay exact: ``terms``
+gives (coefficient, exponent) Fraction pairs, and ``trunc``,
+``valuation()`` and ``leading_term()`` give Fractions or ``inf``, the
+same whatever denominator an element happens to be stored over; so do
+equality and hashing.  Downstream quantities (valuations, torsion
+exponents, thresholds) are therefore exact rationals whenever they fall
+below the truncation budget; floating point is never involved.
 
 Elements are immutable values: every operation returns a new element, and
 sharing across threads is safe.  Outside input (the constructor,
 ``monomial``, ``from_text``, ``parse``) is validated once into canonical
-terms: Fraction pairs sorted by exponent, no zero coefficient, nothing at
-or above ``trunc``.  Ring operations keep that form and build their
-results without validating again.
+terms: sorted by exponent, no zero coefficient, nothing at or above
+``trunc``.  Ring operations keep that form and build their results
+without validating again.
 
 >>> x = from_text("1 - T(1)")
 >>> to_text(invert(x.retruncate(3)))
@@ -43,6 +53,7 @@ results without validating again.
 from __future__ import annotations
 
 import heapq
+import math
 import re
 from bisect import bisect_left
 from fractions import Fraction
@@ -54,53 +65,65 @@ from .rationals import INFINITE, Level, as_level, is_infinite
 
 # A term is (coefficient, T-exponent).
 Term = tuple[Fraction, Fraction]
+# Inside an element: (coefficient, T-exponent times the denominator).
+_Term = tuple[Fraction, int]
+# A level times the denominator: an int, or INFINITE.
+_Level = int | float
 
-def _canonical_terms(terms: Iterable[tuple], trunc: Level) -> tuple[Term, ...]:
-    """Validate outside input: coerce to Fraction, merge equal exponents,
-    drop zeros and terms at or above ``trunc``, sort by exponent."""
-    merged: dict[Fraction, Fraction] = {}
+
+def _canonical_terms(terms: Iterable[tuple], trunc: Level
+                     ) -> tuple[tuple[_Term, ...], int, _Level]:
+    """Validate outside input: coerce to Fraction, drop zeros and terms
+    at or above ``trunc``, merge equal exponents, sort by exponent.
+    Returns the terms over the lcm of the denominators of the level and
+    of the exponents kept, that denominator, and the level over it."""
+    finite = not is_infinite(trunc)
+    den = trunc.denominator if finite else 1
+    kept = []
     for coeff, t_exp in terms:
         if type(coeff) is not Fraction:
             coeff = Fraction(coeff)
         if type(t_exp) is not Fraction:
             t_exp = Fraction(t_exp)
-        if coeff == 0 or t_exp >= trunc:
-            continue
-        acc = merged.get(t_exp, _ZERO_FRACTION) + coeff
-        if acc == 0:
-            merged.pop(t_exp, None)
-        else:
-            merged[t_exp] = acc
-    return tuple(
-        (coeff, t_exp) for t_exp, coeff in sorted(merged.items()))
-
-
-_ZERO_FRACTION = Fraction(0)
+        if coeff and t_exp < trunc:
+            kept.append((coeff, t_exp))
+            den = math.lcm(den, t_exp.denominator)
+    merged: dict[int, Fraction] = {}
+    for coeff, t_exp in kept:
+        e = t_exp.numerator * den // t_exp.denominator
+        prev = merged.get(e)
+        merged[e] = coeff if prev is None else prev + coeff
+    level = trunc.numerator * den // trunc.denominator if finite \
+        else INFINITE
+    return tuple([(c, e) for e, c in sorted(merged.items()) if c]), \
+        den, level
 
 
 class NovikovElement:
     """Immutable finite sum of T-monomials below a truncation level."""
 
-    __slots__ = ("terms", "trunc")
+    __slots__ = ("_terms", "_den", "_level")
 
     def __init__(self, terms: Iterable[tuple] = (), trunc: Level = INFINITE):
-        trunc = as_level(trunc)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "terms", _canonical_terms(terms, trunc))
+        terms, den, level = _canonical_terms(terms, as_level(trunc))
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_level", level)
 
     def __setattr__(self, name, value):
         raise AttributeError("NovikovElement is immutable")
 
     @classmethod
-    def _trusted(cls, terms: tuple[Term, ...],
-                 trunc: Level) -> "NovikovElement":
-        """Wrap terms that are already canonical: Fraction pairs sorted by
-        exponent, no zero coefficient, every exponent below ``trunc``.
+    def _trusted(cls, terms: tuple[_Term, ...], den: int,
+                 level: _Level) -> "NovikovElement":
+        """Wrap terms that are already canonical over ``den``: sorted by
+        exponent, no zero coefficient, every exponent below ``level``.
         Ring results are built here; outside input goes through
         ``__init__``."""
         self = object.__new__(cls)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_level", level)
         return self
 
     # -- constructors -------------------------------------------------
@@ -120,31 +143,48 @@ class NovikovElement:
 
     # -- structure ----------------------------------------------------
 
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        """(coefficient, T-exponent) Fraction pairs sorted by exponent."""
+        den = self._den
+        return tuple([(c, Fraction(e, den)) for c, e in self._terms])
+
+    @property
+    def trunc(self) -> Level:
+        level = self._level
+        return INFINITE if level == INFINITE else Fraction(level, self._den)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def valuation(self) -> Level:
         """Smallest T-exponent; +inf for the zero element."""
-        if not self.terms:
+        if not self._terms:
             return INFINITE
-        return self.terms[0][1]
+        return Fraction(self._terms[0][1], self._den)
 
     def leading_term(self) -> Term:
-        if not self.terms:
+        if not self._terms:
             raise ValueError("zero element has no leading term")
-        return self.terms[0]
+        coeff, t_exp = self._terms[0]
+        return coeff, Fraction(t_exp, self._den)
 
     def retruncate(self, trunc: Level) -> "NovikovElement":
         """Drop terms at or above ``trunc``; keeps the smaller level."""
-        level = min(self.trunc, as_level(trunc))
-        if level == self.trunc:
+        trunc = as_level(trunc)
+        if is_infinite(trunc):
             return self
-        terms = self.terms
+        x = _rescaled(self, math.lcm(self._den, trunc.denominator))
+        level = trunc.numerator * (x._den // trunc.denominator)
+        if level >= x._level:
+            return self
+        terms = x._terms
         return NovikovElement._trusted(
-            terms[:bisect_left(terms, level, key=itemgetter(1))], level)
+            terms[:bisect_left(terms, level, key=itemgetter(1))],
+            x._den, level)
 
     # -- ring operations ----------------------------------------------
 
@@ -160,19 +200,19 @@ class NovikovElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _merge(self, other.terms, other.trunc, False)
+        return _merge(self, other, False)
 
     __radd__ = __add__
 
     def __neg__(self) -> "NovikovElement":
         return NovikovElement._trusted(
-            tuple([(-c, l) for c, l in self.terms]), self.trunc)
+            tuple([(-c, e) for c, e in self._terms]), self._den, self._level)
 
     def __sub__(self, other) -> "NovikovElement":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _merge(self, other.terms, other.trunc, True)
+        return _merge(self, other, True)
 
     def __rsub__(self, other) -> "NovikovElement":
         return (-self) + other
@@ -181,11 +221,13 @@ class NovikovElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        trunc = min(self.trunc + other.valuation(),
-                    other.trunc + self.valuation())
-        if is_infinite(trunc):
-            trunc = INFINITE
-        left, right = self.terms, other.terms
+        x, y = self, other
+        if x._den != y._den:
+            x, y = _aligned(x, y)
+        left, right = x._terms, y._terms
+        # a zero is known to vanish up to its own level
+        level = min(x._level + (right[0][1] if right else y._level),
+                    y._level + (left[0][1] if left else x._level))
         if len(left) > len(right):
             left, right = right, left
         if len(left) == 1:
@@ -193,21 +235,22 @@ class NovikovElement:
             (a, la), = left
             terms = []
             for b, lb in right:
-                level = la + lb
-                if level >= trunc:
+                e = la + lb
+                if e >= level:
                     break
-                terms.append((a * b, level))
-            return NovikovElement._trusted(tuple(terms), trunc)
-        acc: dict[Fraction, Fraction] = {}
+                terms.append((a * b, e))
+            return NovikovElement._trusted(tuple(terms), x._den, level)
+        acc: dict[int, Fraction] = {}
         for a, la in left:
             for b, lb in right:
-                level = la + lb
-                if level >= trunc:
+                e = la + lb
+                if e >= level:
                     break
-                prev = acc.get(level)
-                acc[level] = a * b if prev is None else prev + a * b
+                prev = acc.get(e)
+                acc[e] = a * b if prev is None else prev + a * b
         return NovikovElement._trusted(
-            tuple([(c, l) for l, c in sorted(acc.items()) if c]), trunc)
+            tuple([(c, e) for e, c in sorted(acc.items()) if c]),
+            x._den, level)
 
     __rmul__ = __mul__
 
@@ -232,28 +275,65 @@ class NovikovElement:
             other = NovikovElement.monomial(other)
         if not isinstance(other, NovikovElement):
             return NotImplemented
+        if self._den == other._den:
+            return (self._terms == other._terms
+                    and self._level == other._level)
         return self.terms == other.terms and self.trunc == other.trunc
 
     def __hash__(self) -> int:
+        # an exact constant equals its Fraction, so it hashes like one
+        terms = self._terms
+        if self._level == INFINITE and (
+                not terms or (len(terms) == 1 and terms[0][1] == 0)):
+            return hash(terms[0][0]) if terms else hash(0)
         return hash((self.terms, self.trunc))
 
     def __repr__(self) -> str:
-        level = "" if is_infinite(self.trunc) else f" (mod T^{self.trunc})"
+        level = "" if self._level == INFINITE else f" (mod T^{self.trunc})"
         return f"<{to_text(self)}{level}>"
 
     def __iter__(self) -> Iterator[Term]:
         return iter(self.terms)
 
 
-def _merge(x: NovikovElement, terms: tuple[Term, ...], trunc: Level,
-           negate: bool) -> NovikovElement:
-    """x + y, or x - y when ``negate``, for y given by its canonical
-    ``terms`` and ``trunc``: a merge of two sorted term lists."""
-    level = min(x.trunc, trunc)
-    left = x.terms
-    if not terms and level == x.trunc:
+def _rescaled(x: NovikovElement, den: int) -> NovikovElement:
+    """x stored over ``den``, a multiple of its own denominator."""
+    factor = den // x._den
+    if factor == 1:
         return x
-    out: list[Term] = []
+    return NovikovElement._trusted(
+        tuple([(c, e * factor) for c, e in x._terms]), den,
+        x._level * factor)
+
+
+def _aligned(x: NovikovElement, y: NovikovElement
+             ) -> tuple[NovikovElement, NovikovElement]:
+    """x and y stored over the lcm of their denominators."""
+    den = math.lcm(x._den, y._den)
+    return _rescaled(x, den), _rescaled(y, den)
+
+
+def _common_denominator(values: Iterable[NovikovElement]) -> int:
+    """The lcm of the denominators the values are stored over."""
+    return math.lcm(*{x._den for x in values})
+
+
+def _order(x: NovikovElement) -> _Level:
+    """The valuation times the denominator x is stored over."""
+    return x._terms[0][1] if x._terms else INFINITE
+
+
+def _merge(x: NovikovElement, y: NovikovElement,
+           negate: bool) -> NovikovElement:
+    """x + y, or x - y when ``negate``: a merge of two sorted term
+    lists."""
+    if x._den != y._den:
+        x, y = _aligned(x, y)
+    level = min(x._level, y._level)
+    left, terms = x._terms, y._terms
+    if not terms and level == x._level:
+        return x
+    out: list[_Term] = []
     i = j = 0
     n_left, n_right = len(left), len(terms)
     while i < n_left and j < n_right:
@@ -276,10 +356,10 @@ def _merge(x: NovikovElement, terms: tuple[Term, ...], trunc: Level,
         out.extend([(-b, lb) for b, lb in terms[j:]])
     else:
         out.extend(terms[j:])
-    if not is_infinite(level):
+    if level != INFINITE:
         while out and out[-1][1] >= level:
             out.pop()
-    return NovikovElement._trusted(tuple(out), level)
+    return NovikovElement._trusted(tuple(out), x._den, level)
 
 
 def divide_exact(x: NovikovElement, y: NovikovElement) -> NovikovElement:
@@ -296,28 +376,31 @@ def divide_exact(x: NovikovElement, y: NovikovElement) -> NovikovElement:
     """
     if y.is_zero():
         raise ZeroDivisionError("division by the zero element")
-    yc, yl = y.leading_term()
-    out_trunc = min(x.trunc, y.trunc) - yl
-    if is_infinite(out_trunc):
-        out_trunc = INFINITE
+    if x._den != y._den:
+        x, y = _aligned(x, y)
+    y_terms = y._terms
+    yc, yl = y_terms[0]
+    out_level = min(x._level, y._level) - yl
     # At infinite truncation only a finite quotient can be returned.  Over
     # a domain the top T-exponents of a product add, so a finite quotient
     # has no term above top(x) - top(y); long division that reaches past
     # that level is producing an infinite series.
     limit = INFINITE
-    if is_infinite(out_trunc) and x.terms:
-        limit = x.terms[-1][1] - y.terms[-1][1]
+    if out_level == INFINITE and x._terms:
+        limit = x._terms[-1][1] - y_terms[-1][1]
     # The remainder is a dict from exponent to coefficient with a heap of
     # its exponents; entries cancelled to zero leave stale heap keys.
     # Terms at or above ``level`` have been dropped: each step lowers it
     # to y.trunc + (quotient exponent), the level of the subtracted
     # multiple of y.  Every exponent a step adds lies above the leading
     # one it cancels, so a popped exponent never comes back.
-    remainder = {l: c for c, l in x.terms}
+    remainder = {e: c for c, e in x._terms}
     heap = list(remainder)
-    level = x.trunc
-    tail = y.terms[1:]
-    quotient: list[Term] = []
+    level = x._level
+    y_level = y._level
+    monic = yc == 1
+    negated_tail = [(-c, e) for c, e in y_terms[1:]]
+    quotient: list[_Term] = []
     while heap:
         rl = heapq.heappop(heap)
         rc = remainder.pop(rl, None)
@@ -326,29 +409,29 @@ def divide_exact(x: NovikovElement, y: NovikovElement) -> NovikovElement:
         if rl >= level:
             break
         q_level = rl - yl
-        if q_level >= out_trunc:
+        if q_level >= out_level:
             break
         if q_level > limit:
             raise PrecisionExhausted(
                 "quotient is an infinite series; set a finite truncation")
-        q = rc / yc
+        q = rc if monic else rc / yc
         quotient.append((q, q_level))
-        level = min(level, y.trunc + q_level)
-        for c, l in tail:
-            e = q_level + l
+        level = min(level, y_level + q_level)
+        for c, e in negated_tail:
+            e += q_level
             if e >= level:
                 break
             value = remainder.get(e)
             if value is None:
-                remainder[e] = -q * c
+                remainder[e] = q * c
                 heapq.heappush(heap, e)
             else:
-                value -= q * c
+                value += q * c
                 if value:
                     remainder[e] = value
                 else:
                     del remainder[e]
-    return NovikovElement._trusted(tuple(quotient), out_trunc)
+    return NovikovElement._trusted(tuple(quotient), x._den, out_level)
 
 
 def invert(x: NovikovElement) -> NovikovElement:

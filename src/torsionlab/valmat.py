@@ -15,7 +15,8 @@ threshold, and the stability comparison of two decompositions.
 
 Matrices are dense and immutable, and all entries share one truncation
 level, so a decomposition is exact whenever its exponents lie below that
-level.
+level.  They also share one exponent denominator (see ``novikov``), so
+elimination compares and adds integer exponents and never rescales.
 """
 
 from __future__ import annotations
@@ -26,12 +27,14 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import NotAComplex, PrecisionExhausted
-from .novikov import NovikovElement, divide_exact, parse
+from .novikov import (NovikovElement, _common_denominator, _order,
+                      _rescaled, divide_exact, parse)
 from .rationals import INFINITE, Level, as_level, format_level
 
 
 class NovikovMatrix:
-    """Immutable dense matrix of Novikov elements sharing one truncation."""
+    """Immutable dense matrix of Novikov elements sharing one truncation
+    and one exponent denominator."""
 
     __slots__ = ("rows", "cols", "entries", "trunc")
 
@@ -51,8 +54,10 @@ class NovikovMatrix:
         for row in grid:
             for value in row:
                 level = min(level, value.trunc)
+        grid = [[value.retruncate(level) for value in row] for row in grid]
+        den = _common_denominator(value for row in grid for value in row)
         grid = tuple(
-            tuple(value.retruncate(level) for value in row) for row in grid)
+            tuple(_rescaled(value, den) for value in row) for row in grid)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", grid)
@@ -178,22 +183,26 @@ def _eliminate(matrix: NovikovMatrix, accumulate: bool):
     grid, the pivot valuations and, when ``accumulate``, the row and
     column transforms u and v as grids (None otherwise)."""
     work = [list(row) for row in matrix.entries]
+    # every entry is stored over this denominator; units and transforms
+    # are brought to it too, so no ring operation below rescales
+    den = _common_denominator(value for row in work for value in row)
     u = v = None
     if accumulate:
-        u = [list(row) for row in
+        u = [[_rescaled(value, den) for value in row] for row in
              NovikovMatrix.identity(matrix.rows).entries]
-        v = [list(row) for row in
+        v = [[_rescaled(value, den) for value in row] for row in
              NovikovMatrix.identity(matrix.cols).entries]
     pivots: list[Fraction] = []
 
     for k in range(min(matrix.rows, matrix.cols)):
         pivot_pos = None
-        pivot_val = INFINITE
+        pivot_order = INFINITE
         for i in range(k, matrix.rows):
+            row = work[i]
             for j in range(k, matrix.cols):
-                value = work[i][j].valuation()
-                if value < pivot_val:
-                    pivot_val = value
+                order = _order(row[j])
+                if order < pivot_order:
+                    pivot_order = order
                     pivot_pos = (i, j)
         if pivot_pos is None:
             break
@@ -212,12 +221,12 @@ def _eliminate(matrix: NovikovMatrix, accumulate: bool):
         pivot = work[k][k]
         # normalize the leading coefficient to 1
         coeff, _ = pivot.leading_term()
-        unit = NovikovElement.monomial(1 / coeff)
+        unit = _rescaled(NovikovElement.monomial(1 / coeff), den)
         work[k] = [unit * value for value in work[k]]
         if accumulate:
             u[k] = [unit * value for value in u[k]]
         pivot = work[k][k]
-        pivots.append(Fraction(pivot_val))
+        pivots.append(pivot.valuation())
 
         # clear the pivot column with row operations
         for i in range(matrix.rows):

@@ -8,8 +8,13 @@ expected stdout and exit code of the text report are kept in
 code.  To rewrite them after an intended report change, run
 
     PYTHONPATH=src python tests/golden_reports.py
+
+With ``--check`` it writes nothing: it renders every case, prints the
+names of the expected files the reports differ from, and exits 1 if any
+differ, 0 otherwise.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -48,12 +53,30 @@ def render(case: dict, as_json: bool) -> str:
     return f"{code}\n{out.getvalue()}"
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the expected files; write nothing")
+    check = parser.parse_args(argv).check
+    differ = []
     for case in cases():
         for as_json in (False, True):
-            with open(expected_path(case, as_json), "w",
-                      encoding="utf-8") as handle:
-                handle.write(render(case, as_json))
+            path = expected_path(case, as_json)
+            report = render(case, as_json)
+            if not check:
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(report)
+                continue
+            try:
+                with open(path, encoding="utf-8") as handle:
+                    expected = handle.read()
+            except FileNotFoundError:
+                expected = None
+            if report != expected:
+                differ.append(os.path.basename(path))
+    for name in differ:
+        print(name)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

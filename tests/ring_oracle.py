@@ -50,7 +50,9 @@ def sub(x, y):
 
 
 def mul(x, y):
-    trunc = min(x.trunc + y.valuation(), y.trunc + x.valuation())
+    # a truncated zero is known to vanish up to its own level
+    trunc = min(x.trunc + min(y.valuation(), y.trunc),
+                y.trunc + min(x.valuation(), x.trunc))
     if is_infinite(trunc):
         trunc = INFINITE
     return element(((a * b, la + lb) for a, la in x.terms

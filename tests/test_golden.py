@@ -5,8 +5,16 @@ before the Novikov ring's trusted construction and in-place division, so
 this test checks that those changes leave every report as it was: exit
 code and stdout, text and ``--json``, on a fixed set of matrices and
 complexes (a 4 x 4 matrix of 3-4 term entries at truncation 8, series
-quotients, negative exponents, Koszul complexes of toric fibers).
+quotients, negative exponents, Koszul complexes of toric fibers).  The two
+``mixed-denominators`` cases, whose entries mix T(1/3), T(2/5) and T(1/2)
+at truncation 7/2, were written from the code before exponents became
+integers over a per-element denominator, and pin that change the same way.
+``python tests/golden_reports.py --check`` runs the same comparison
+without pytest and writes nothing.
 """
+
+import json
+import os
 
 import pytest
 
@@ -21,3 +29,21 @@ def test_report_matches_golden(case, as_json):
     with open(expected_path(case, as_json), encoding="utf-8") as handle:
         expected = handle.read()
     assert render(case, as_json) == expected
+
+
+def test_check_mode_names_differing_files_and_writes_nothing(
+        tmp_path, monkeypatch, capsys):
+    import golden_reports
+
+    case = CASES[0]
+    (tmp_path / "cases.json").write_text(json.dumps([case]))
+    for as_json in (False, True):
+        with open(expected_path(case, as_json), encoding="utf-8") as handle:
+            text = handle.read()
+        name = os.path.basename(expected_path(case, as_json))
+        (tmp_path / name).write_text(text + "x" if as_json else text)
+    before = {p.name: p.read_text() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(golden_reports, "GOLDEN", str(tmp_path))
+    assert golden_reports.main(["--check"]) == 1
+    assert capsys.readouterr().out == f"{case['name']}.json.txt\n"
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == before

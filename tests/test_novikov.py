@@ -112,6 +112,17 @@ def test_exponents_add_in_both_gradings():
     assert (x * y).terms == ((F(6), F(2)),)
 
 
+def test_product_of_truncated_zeros_keeps_a_finite_level():
+    # 0 mod T^2 times 0 mod T^3 is only known to vanish mod T^5
+    product = NovikovElement.zero(2) * NovikovElement.zero(3)
+    assert product.is_zero()
+    assert product.trunc == 5
+    assert (NovikovElement.zero(2) * NovikovElement.zero(2)).trunc == 4
+    # an exact zero still makes the product exact
+    assert (NovikovElement.zero() * NovikovElement.zero(2)).trunc == INFINITE
+    assert (NovikovElement.zero() * nov("1 + T(1)")).trunc == INFINITE
+
+
 def test_add_keeps_smaller_trunc():
     total = nov("1", trunc=5) + nov("T(1)", trunc=2)
     assert total.trunc == 2
@@ -294,6 +305,29 @@ def test_elements_immutable_and_hashable():
     assert x != nov("1 + T(1)", trunc=2)
 
 
+def test_exact_constants_hash_like_their_fractions():
+    # equal values hash equal: an exact constant equals its Fraction
+    assert len({NovikovElement.one(), 1}) == 1
+    assert hash(NovikovElement.one()) == hash(F(1))
+    assert hash(NovikovElement.zero()) == hash(0)
+    assert NovikovElement.monomial(F(3, 2)) == F(3, 2)
+    assert hash(NovikovElement.monomial(F(3, 2))) == hash(F(3, 2))
+    assert nov("3/2", trunc=1) != F(3, 2)
+
+
+def test_equality_and_hash_ignore_the_stored_denominator():
+    # T(1/2) stored over 2, and the same value reached over 6
+    halves = nov("1 + T(1/2)")
+    sixths = nov("1 + T(1/2) + T(1/3)") - nov("T(1/3)")
+    assert (halves._den, sixths._den) == (2, 6)
+    assert halves == sixths
+    assert hash(halves) == hash(sixths)
+    assert halves.terms == sixths.terms
+    assert halves.retruncate(3) == sixths.retruncate(3)
+    assert hash(halves.retruncate(3)) == hash(sixths.retruncate(3))
+    assert halves != sixths.retruncate(F(5, 3))
+
+
 def test_scalar_coercion():
     assert nov("T(1)") + 1 == nov("1 + T(1)")
     assert 2 * nov("T(1)") == nov("2*T(1)")
@@ -387,3 +421,64 @@ def test_ring_results_are_canonical(x, y, level):
         assert is_canonical(result), result
     assert x.retruncate(level) == ring_oracle.element(
         x.terms, min(x.trunc, level))
+
+
+# -- mixed exponent denominators -------------------------------------------
+#
+# Exponents and levels are stored as ints over one denominator per
+# element; operands over different denominators are rescaled first.
+
+DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 12)
+
+
+@st.composite
+def mixed_fractions(draw, low, high):
+    den = draw(st.sampled_from(DENOMINATORS))
+    return F(draw(st.integers(low * den, high * den)), den)
+
+
+mixed_levels = st.one_of(st.just(INFINITE), mixed_fractions(-2, 8))
+
+
+@st.composite
+def mixed_elements(draw, trunc=mixed_levels):
+    terms = draw(st.lists(st.tuples(coefficients, mixed_fractions(-3, 6)),
+                          max_size=5))
+    return NovikovElement(terms, draw(trunc))
+
+
+@given(mixed_elements(), mixed_elements(), mixed_levels)
+def test_mixed_denominators_match_oracle(x, y, level):
+    cases = [
+        (lambda: x + y, lambda: ring_oracle.add(x, y)),
+        (lambda: x - y, lambda: ring_oracle.sub(x, y)),
+        (lambda: x * y, lambda: ring_oracle.mul(x, y)),
+        (lambda: -x, lambda: ring_oracle.neg(x)),
+        (lambda: x.retruncate(level),
+         lambda: ring_oracle.element(x.terms, min(x.trunc, level))),
+        (lambda: divide_exact(x, y), lambda: ring_oracle.divide_exact(x, y)),
+        (lambda: invert(x), lambda: ring_oracle.invert(x)),
+    ]
+    for compute, oracle in cases:
+        assert outcome(compute) == outcome(oracle)
+        try:
+            result = compute()
+        except (ZeroDivisionError, PrecisionExhausted):
+            continue
+        assert is_canonical(result), result
+
+
+@given(mixed_elements(), mixed_elements(trunc=st.just(INFINITE)))
+def test_mixed_denominator_multiples_divide_like_oracle(q, y):
+    x = q * y
+    assert (outcome(lambda: divide_exact(x, y))
+            == outcome(lambda: ring_oracle.divide_exact(x, y)))
+
+
+@given(mixed_elements(), st.sampled_from(DENOMINATORS[1:]))
+def test_stored_denominator_is_invisible(x, factor):
+    rescaled = novikov._rescaled(x, x._den * factor)
+    assert rescaled._den == x._den * factor
+    assert rescaled == x and hash(rescaled) == hash(x)
+    assert (rescaled.terms, rescaled.trunc) == (x.terms, x.trunc)
+    assert to_text(rescaled) == to_text(x)

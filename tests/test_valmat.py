@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from torsionlab import valmat
+from torsionlab import novikov, valmat
 from torsionlab.cli import run
 from torsionlab.errors import NotAComplex, PrecisionExhausted
 from torsionlab.novikov import NovikovElement, parse, to_text
@@ -220,6 +220,24 @@ def test_snf_lazy_transforms_recompose_long_entries():
         v = form.v              # read v before u
         recomposed = form.u * m * v
         assert (recomposed - form.diagonal).is_zero_below_truncation()
+
+
+def test_matrix_entries_share_one_denominator_and_elimination_never_rescales(
+        monkeypatch):
+    m = matrix([["T(1/3) + T(1/2)", "1", "T(2/5)"],
+                ["2", "T(1/5) - 3*T(3/4)", "0"],
+                ["T(1/2)", "0", "1 + T(7/12)"]], F(7, 2))
+    assert len({value._den for row in m.entries for value in row}) == 1
+    # every operand of the elimination is already over that denominator
+    rescales = []
+    original = novikov._aligned
+    monkeypatch.setattr(novikov, "_aligned",
+                        lambda x, y: rescales.append(1) or original(x, y))
+    form = smith_normal_form(m)
+    assert (form.u * m * form.v - form.diagonal).is_zero_below_truncation()
+    rescales.clear()
+    smith_normal_form(m).u
+    assert rescales == []
 
 
 def counting_elimination(monkeypatch):
