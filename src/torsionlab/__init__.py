@@ -6,8 +6,8 @@ identities behind the bounds numerically.
 """
 
 from .errors import (ConstraintViolated, EmptyInterior, FiberOnBoundary,
-                     NonCompact, NotAComplex, PrecisionExhausted,
-                     StepFailure, TorsionLabError, UnboundedDomain)
+                     NotAComplex, PrecisionExhausted, StepFailure,
+                     TorsionLabError, UnboundedDomain)
 from .novikov import NovikovElement, divide_exact, from_text, parse, to_text
 from .polydisk import MODES, PolydiskSpec, polydisk_bound
 from .rationals import INFINITE, as_level, format_level, is_infinite, rational
@@ -32,7 +32,6 @@ __all__ = [
     "MODES",
     "ModuleDecomposition",
     "MomentModel",
-    "NonCompact",
     "NotAComplex",
     "NovikovElement",
     "NovikovMatrix",

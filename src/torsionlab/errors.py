@@ -40,10 +40,6 @@ class EmptyInterior(TorsionLabError):
     """The moment polytope has no interior point on the search grid."""
 
 
-class NonCompact(TorsionLabError):
-    """An operation requiring a compact phase space met an unbounded one."""
-
-
 class UnboundedDomain(TorsionLabError):
     """Extrema were requested over an unbounded factor with no box given."""
 

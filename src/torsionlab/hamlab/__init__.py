@@ -1,28 +1,15 @@
-"""Numerical Hofer-geometry laboratory.
+"""Numerical Hofer-geometry laboratory on the plane R^2.
 
-Phase spaces, closed-form Hamiltonians, elongation profiles, flows and
-gauge transformations, strip quadrature, and the identity-verification
-suites behind the action/energy estimates.
+Closed-form Hamiltonians and their Hofer norms, elongation profiles,
+RK4 flows and the gauge transformation, strip quadrature, and the four
+verification suites behind the action and energy estimates.
 """
 
-from .fields import (
-    HamiltonianField,
-    HoferNorms,
-    hofer_norms,
-    normalize,
-)
-from .flow import flow, gauge_minus, gauge_plus
-from .profiles import ElongationProfile, rho_k, rho_minus, rho_plus
-from .spaces import (
-    EuclideanSpace,
-    PhaseSpace,
-    ProductSpace,
-    SphereSpace,
-    euclidean_plane,
-    product_space,
-    sphere_space,
-)
-from .strips import StripMap, action, concatenate_strips, energy_functional, pullback_area
+from .fields import HamiltonianField, HoferNorms, hofer_norms
+from .flow import flow, gauge_plus
+from .profiles import ElongationProfile, rho_k, rho_plus
+from .spaces import EuclideanSpace, euclidean_plane
+from .strips import StripMap, energy_functional, pullback_area
 from .verify import (
     difference_hamiltonian,
     run_suite,
@@ -31,7 +18,6 @@ from .verify import (
     suite_hat,
     suite_hofer,
     verify_actiondiff,
-    verify_action_telescoping,
     verify_energy_identity,
 )
 
@@ -40,32 +26,21 @@ __all__ = [
     "EuclideanSpace",
     "HamiltonianField",
     "HoferNorms",
-    "PhaseSpace",
-    "ProductSpace",
-    "SphereSpace",
     "StripMap",
-    "action",
-    "concatenate_strips",
     "difference_hamiltonian",
     "energy_functional",
     "euclidean_plane",
     "flow",
-    "gauge_minus",
     "gauge_plus",
     "hofer_norms",
-    "normalize",
-    "product_space",
     "pullback_area",
     "rho_k",
-    "rho_minus",
     "rho_plus",
     "run_suite",
-    "sphere_space",
     "suite_actiondiff",
     "suite_energy",
     "suite_hat",
     "suite_hofer",
     "verify_actiondiff",
-    "verify_action_telescoping",
     "verify_energy_identity",
 ]

@@ -1,10 +1,8 @@
-"""Closed-form Hamiltonians, Hofer norms, and normalization.
+"""Closed-form Hamiltonians on the plane and their Hofer norms.
 
-Expressions are written in the time symbol t and the phase-space
-coordinate names (x1, y1, ... on euclidean factors; p1, p2, p3 on
-spheres) using +, -, *, /, ** and the functions sin, cos, exp, sqrt;
-pi is available as a constant.  On a plain euclidean plane the aliases
-x and y stand for x1 and y1.
+Expressions are written in the time symbol t and the coordinates x1, y1
+(or their aliases x, y) using +, -, *, /, ** and the functions sin, cos,
+exp, sqrt; pi is available as a constant.
 
 A field compiles its value and one fused gradient, returning every
 partial at once, when it is built.  It may also name coefficient symbols
@@ -21,8 +19,7 @@ Hofer norms follow the convention
 
 so the norm of any constant vanishes while E-+/E+ themselves may be
 negative for one-signed Hamiltonians.  Extrema are located by dense
-parameter-grid scans with window refinement; euclidean factors need an
-explicit bounding box.
+grid scans with window refinement over a bounding box the caller gives.
 """
 
 from __future__ import annotations
@@ -34,8 +31,7 @@ from typing import Sequence
 import numpy as np
 import sympy
 
-from ..errors import NonCompact
-from .spaces import Box, PhaseSpace
+from .spaces import Box, EuclideanSpace
 
 _FUNCTIONS = {
     "sin": sympy.sin,
@@ -48,17 +44,15 @@ _FUNCTIONS = {
 T_SYMBOL = sympy.Symbol("t", real=True)
 
 
-def _parse(space: PhaseSpace, expression,
+def _parse(space: EuclideanSpace, expression,
            coefficients: tuple[str, ...]) -> sympy.Expr:
     symbols = {name: sympy.Symbol(name, real=True)
                for name in space.coord_names}
     local = dict(_FUNCTIONS)
     local.update(symbols)
     local["t"] = T_SYMBOL
-    if "x1" in symbols and "x" not in symbols:
-        local.setdefault("x", symbols["x1"])
-    if "y1" in symbols and "y" not in symbols:
-        local.setdefault("y", symbols["y1"])
+    local["x"] = symbols["x1"]
+    local["y"] = symbols["y1"]
     clash = [name for name in coefficients
              if name in local or not name.isidentifier()]
     if clash or len(set(coefficients)) < len(coefficients):
@@ -85,7 +79,7 @@ class HamiltonianField:
     arguments, and ``bind`` gives its members without compiling again.
     """
 
-    def __init__(self, space: PhaseSpace, expression,
+    def __init__(self, space: EuclideanSpace, expression,
                  coefficients: Sequence[str] = ()):
         self.space = space
         self.coefficients = tuple(coefficients)
@@ -148,7 +142,7 @@ class HamiltonianField:
     def vector_field(self, t, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         return self.space.vector_field_from_gradient(
-            points, self.gradient(t, points))
+            self.gradient(t, points))
 
     def time_reversed(self) -> "HamiltonianField":
         """The Hamiltonian -H(1-t, x) generating the reversed path.
@@ -172,46 +166,6 @@ class HamiltonianField:
         return f"HamiltonianField({self.expr}{values})"
 
 
-class NormalizedField:
-    """A field shifted by its spatial mean at each time."""
-
-    def __init__(self, base: HamiltonianField, resolution: int = 64):
-        if not base.space.is_compact:
-            raise NonCompact(
-                "normalization integrates over the phase space; euclidean "
-                "factors have no finite volume (keep the base path "
-                "convention instead)")
-        self.base = base
-        self.space = base.space
-        points, weights = base.space.quadrature_grid(resolution)
-        self._points = points
-        self._weights = weights / weights.sum()
-
-    def spatial_mean(self, t) -> float:
-        values = self.base.value(float(t), self._points)
-        return float(values @ self._weights)
-
-    def value(self, t, points) -> np.ndarray:
-        t_arr = np.asarray(t, dtype=float)
-        base = self.base.value(t, points)
-        if t_arr.ndim == 0:
-            return base - self.spatial_mean(t_arr)
-        means = np.array([self.spatial_mean(v) for v in t_arr.reshape(-1)])
-        return base - means.reshape(t_arr.shape)
-
-    # the shift is constant in space at fixed time, so the dynamics and
-    # the gradient are untouched
-    def gradient(self, t, points) -> np.ndarray:
-        return self.base.gradient(t, points)
-
-    def vector_field(self, t, points) -> np.ndarray:
-        return self.base.vector_field(t, points)
-
-
-def normalize(H: HamiltonianField, resolution: int = 64) -> NormalizedField:
-    return NormalizedField(H, resolution)
-
-
 @dataclass(frozen=True)
 class HoferNorms:
     e_minus: float
@@ -219,37 +173,32 @@ class HoferNorms:
     norm: float
 
 
-def _axis_resolution(resolution: int, param_dim: int) -> int:
-    cap = max(5, int(round(40_000 ** (1.0 / param_dim))))
-    return max(5, min(int(resolution), cap))
-
-
-def _scan(H, space: PhaseSpace, box, per_axis: int, t: float,
-          sign: float) -> tuple[float, np.ndarray]:
+def _scan(H, box, per_axis: int, t: float, sign: float
+          ) -> tuple[float, np.ndarray]:
     axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
-    params = np.stack([m.ravel() for m in mesh], axis=-1)
-    values = sign * H.value(t, space.embed(params))
+    points = np.stack([m.ravel() for m in mesh], axis=-1)
+    values = sign * H.value(t, points)
     best = int(np.argmax(values))
-    return float(values[best]), params[best]
+    return float(values[best]), points[best]
 
 
-def _extremum(H, space: PhaseSpace, box, per_axis: int, rounds: int,
-              t: float, sign: float) -> float:
+def _extremum(H, box, per_axis: int, rounds: int, t: float, sign: float
+              ) -> float:
     outer = list(box)
     current = list(box)
-    best_value, best_param = _scan(H, space, current, per_axis, t, sign)
+    best_value, best_point = _scan(H, current, per_axis, t, sign)
     for _ in range(rounds):
         next_box = []
         for i, (lo, hi) in enumerate(current):
             width = (hi - lo) / (per_axis - 1)
-            center = best_param[i]
+            center = best_point[i]
             next_box.append((max(outer[i][0], center - 1.5 * width),
                              min(outer[i][1], center + 1.5 * width)))
         current = next_box
-        value, param = _scan(H, space, current, per_axis, t, sign)
+        value, point = _scan(H, current, per_axis, t, sign)
         if value > best_value:
-            best_value, best_param = value, param
+            best_value, best_point = value, point
     return sign * best_value
 
 
@@ -257,21 +206,21 @@ def hofer_norms(H, box: Box | None = None, resolution: int = 33,
                 time_nodes: int = 65, refine_rounds: int = 3) -> HoferNorms:
     """E-, E+, and the Hofer norm of a Hamiltonian.
 
-    Spatial extrema per time node come from a refined parameter scan;
+    Spatial extrema per time node come from a refined grid scan;
     the time integral is a uniform trapezoid over [0, 1].  The returned
     norm is e_minus + e_plus by definition.
     """
-    space = H.space
-    pbox = space.param_box(box)
-    per_axis = _axis_resolution(resolution, len(pbox))
+    pbox = H.space.param_box(box)
+    # at most 200 x 200 = 40,000 points per scan
+    per_axis = max(5, min(int(resolution), 200))
     t_nodes = np.linspace(0.0, 1.0, int(time_nodes))
     maxima = np.empty_like(t_nodes)
     minima = np.empty_like(t_nodes)
     for j, t in enumerate(t_nodes):
-        maxima[j] = _extremum(H, space, pbox, per_axis, refine_rounds,
-                              float(t), 1.0)
-        minima[j] = _extremum(H, space, pbox, per_axis, refine_rounds,
-                              float(t), -1.0)
+        maxima[j] = _extremum(H, pbox, per_axis, refine_rounds, float(t),
+                              1.0)
+        minima[j] = _extremum(H, pbox, per_axis, refine_rounds, float(t),
+                              -1.0)
     e_plus = float(np.trapezoid(maxima, t_nodes))
     e_minus = float(np.trapezoid(-minima, t_nodes))
     return HoferNorms(e_minus=e_minus, e_plus=e_plus,

@@ -1,14 +1,13 @@
 """Hamiltonian flows and the gauge transformations between Floer pictures.
 
-Flows integrate dx/dt = X_H(t, x) with fixed-step classical Runge-Kutta,
-vectorized over point batches, re-projecting onto constraint manifolds
-(sphere factors) after every step.  Gauge transformations move whole
-paths and strips through flow compositions:
+Flows integrate dx/dt = X_H(t, x) on the plane with fixed-step classical
+Runge-Kutta, vectorized over point batches.  Gauge transformations move
+whole paths and strips through flow compositions:
 
     first argument:   l(t) = phi^t (phi^1)^{-1} (l'(t))
     second argument:  l(t) = phi^(1-t) (phi^1)^{-1} (l'(t))
 
-Each transform costs two sweeps over [0, 1] regardless of how many
+Each gauge_plus costs two sweeps over [0, 1] regardless of how many
 points ride along: one backward sweep applying (phi^1)^{-1} to every
 sample at once, then one forward sweep that drops each time slice off at
 its own extraction time.  A sweep stacks its columns once into a single
@@ -36,7 +35,6 @@ def _rk4_segment(H, points: np.ndarray, t0: float, t1: float,
         return points
     steps = max(1, math.ceil(abs(span) / max_step))
     h = span / steps
-    project = H.space.project
     t = t0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
@@ -44,7 +42,7 @@ def _rk4_segment(H, points: np.ndarray, t0: float, t1: float,
             k2 = H.vector_field(t + h / 2, points + (h / 2) * k1)
             k3 = H.vector_field(t + h / 2, points + (h / 2) * k2)
             k4 = H.vector_field(t + h, points + h * k3)
-            points = project(points + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
+            points = points + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             t += h
             if not np.all(np.isfinite(points)):
                 raise StepFailure(f"flow blew up near t = {t:.6g}")
@@ -156,22 +154,5 @@ def gauge_plus(H, which: str, points: np.ndarray, t_nodes=None,
     at_zero = transport_to_zero(H, columns, [1.0] * nt, max_step)
     moved = transport_from_zero(H, at_zero,
                                 _extraction_times(which, t_nodes), max_step)
-    out = _grid_of(moved)
-    return out[0] if path else out
-
-
-def gauge_minus(H, which: str, points: np.ndarray, t_nodes=None,
-                max_step: float = 1e-3) -> np.ndarray:
-    """Inverse of gauge_plus on the same grid."""
-    arr = np.asarray(points, dtype=float)
-    path = arr.ndim == 2
-    grid = arr[None, :, :] if path else arr
-    nt = grid.shape[1]
-    t_nodes = (np.linspace(0.0, 1.0, nt) if t_nodes is None
-               else np.asarray(t_nodes, dtype=float))
-    columns = _columns_of(grid)
-    at_zero = transport_to_zero(H, columns,
-                                _extraction_times(which, t_nodes), max_step)
-    moved = transport_from_zero(H, at_zero, [1.0] * nt, max_step)
     out = _grid_of(moved)
     return out[0] if path else out

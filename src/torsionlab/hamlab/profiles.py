@@ -4,7 +4,6 @@ All profiles are C^2 piecewise quintics (smoothstep 6x^5 - 15x^4 + 10x^3
 on each transition interval) with analytic derivatives:
 
     rho_plus:   0 for tau <= 0, 1 for tau >= 1, nondecreasing;
-    rho_minus:  1 - rho_plus;
     rho_k(K):   for K >= 1, rho_plus shifted in from the left, the
                 mirrored descent on the right, and a plateau of value 1
                 on |tau| <= K - 1; for 0 <= K < 1 the interpolation
@@ -13,7 +12,7 @@ on each transition interval) with analytic derivatives:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -46,14 +45,6 @@ class ElongationProfile:
 
 def rho_plus() -> ElongationProfile:
     return ElongationProfile("rho_plus", _smoothstep, _smoothstep_d)
-
-
-def rho_minus() -> ElongationProfile:
-    return ElongationProfile(
-        "rho_minus",
-        lambda tau: 1.0 - _smoothstep(tau),
-        lambda tau: -_smoothstep_d(tau),
-    )
 
 
 def rho_k(K: float) -> ElongationProfile:

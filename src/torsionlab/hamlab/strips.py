@@ -1,10 +1,9 @@
 """Sampled strip maps and the functionals evaluated on them.
 
-A strip map is a rectangular grid of phase-space points indexed by
-(tau, t).  Axis 0 runs along tau (the strip coordinate, also used for
-the s coordinate of half-disk caps), axis 1 along t in [0, 1].  All
-functionals use second-order stencils: np.gradient with edge_order=2
-for partials and trapezoid rules for the integrals.
+A strip map is a rectangular grid of points of the plane indexed by
+(tau, t).  Axis 0 runs along tau (the strip coordinate), axis 1 along
+t in [0, 1].  All functionals use second-order stencils: np.gradient
+with edge_order=2 for partials and trapezoid rules for the integrals.
 """
 
 from __future__ import annotations
@@ -13,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import PhaseSpace
+from .spaces import EuclideanSpace
 
 
 @dataclass(frozen=True)
 class StripMap:
-    space: PhaseSpace
+    space: EuclideanSpace
     tau: np.ndarray
     t: np.ndarray
     points: np.ndarray
@@ -34,14 +33,6 @@ class StripMap:
             raise ValueError("points must have shape (len(tau), len(t), dim)")
         if tau.size < 3 or t.size < 3:
             raise ValueError("need at least 3 samples along each axis")
-
-    @classmethod
-    def from_function(cls, space: PhaseSpace, fn, tau, t) -> "StripMap":
-        """fn maps broadcast grids (tau, t) to an array (..., dim)."""
-        tau = np.asarray(tau, dtype=float)
-        t = np.asarray(t, dtype=float)
-        grid_tau, grid_t = np.meshgrid(tau, t, indexing="ij")
-        return cls(space, tau, t, np.asarray(fn(grid_tau, grid_t), float))
 
     @property
     def base_edge(self) -> np.ndarray:
@@ -78,16 +69,8 @@ def line_integral(strip: StripMap, values: np.ndarray) -> float:
 def pullback_area(strip: StripMap) -> float:
     """Integral of the pulled-back symplectic form over the grid."""
     du_dtau, du_dt = strip.partials()
-    integrand = strip.space.omega(strip.points, du_dtau, du_dt)
+    integrand = strip.space.omega(du_dtau, du_dt)
     return integrate_grid(strip, integrand)
-
-
-def action(strip: StripMap, H=None) -> float:
-    """Area plus the Hamiltonian term along the top (tau-high) edge."""
-    total = pullback_area(strip)
-    if H is not None:
-        total += line_integral(strip, H.value(strip.t, strip.top_edge))
-    return total
 
 
 def energy_functional(strip: StripMap, H, rho=None) -> tuple[float, float]:
@@ -107,34 +90,8 @@ def energy_functional(strip: StripMap, H, rho=None) -> tuple[float, float]:
     else:
         weights = rho(strip.tau)
     V = du_dt - weights[:, None, None] * field
-    density = 0.5 * (strip.space.metric_norm2(strip.points, du_dtau)
-                     + strip.space.metric_norm2(strip.points, V))
+    density = 0.5 * (strip.space.metric_norm2(du_dtau)
+                     + strip.space.metric_norm2(V))
     energy = integrate_grid(strip, density)
-    geometric = integrate_grid(
-        strip, strip.space.omega(strip.points, du_dtau, V))
+    geometric = integrate_grid(strip, strip.space.omega(du_dtau, V))
     return energy, geometric
-
-
-def concatenate_strips(cap: StripMap, strip: StripMap) -> StripMap:
-    """Glue a cap onto the tau-low edge of a strip.
-
-    The cap's top edge must coincide with the strip's base edge, and
-    both must share the same t grid.  The cap's tau axis is rescaled to
-    occupy unit length just below the strip's tau interval.
-    """
-    same = (cap.space is strip.space
-            or (type(cap.space) is type(strip.space)
-                and cap.space.coord_names == strip.space.coord_names))
-    if not same:
-        raise ValueError("strips live on different spaces")
-    if not np.allclose(cap.t, strip.t, atol=1e-12):
-        raise ValueError("strips use different t grids")
-    if not np.allclose(cap.top_edge, strip.base_edge, atol=1e-9):
-        raise ValueError("cap top edge does not match strip base edge")
-    lo = strip.tau[0]
-    span = cap.tau[-1] - cap.tau[0]
-    mapped = lo - 1.0 + (cap.tau - cap.tau[0]) / span
-    mapped[-1] = lo
-    tau = np.concatenate([mapped[:-1], strip.tau])
-    points = np.concatenate([cap.points[:-1], strip.points], axis=0)
-    return StripMap(strip.space, tau, strip.t, points)

@@ -113,6 +113,10 @@ class NovikovElement:
     def __setattr__(self, name, value):
         raise AttributeError("NovikovElement is immutable")
 
+    def __reduce__(self):
+        # copy and pickle would restore the slots through __setattr__
+        return NovikovElement._trusted, (self._terms, self._den, self._level)
+
     @classmethod
     def _trusted(cls, terms: tuple[_Term, ...], den: int,
                  level: _Level) -> "NovikovElement":

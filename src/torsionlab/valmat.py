@@ -10,8 +10,8 @@ finitely generated cohomology modules the shape
 with well-defined torsion exponents lambda_i > 0.  This module computes
 that decomposition for explicit cochain complexes and derives the
 quantities built from it: the count of torsion exponents surviving a
-positive level, the resulting intersection-number floor, the torsion
-threshold, and the stability comparison of two decompositions.
+positive level, the resulting intersection-number floor and the torsion
+threshold.
 
 Matrices are dense and immutable, and all entries share one truncation
 level, so a decomposition is exact whenever its exponents lie below that
@@ -29,7 +29,7 @@ from typing import Sequence
 from .errors import NotAComplex, PrecisionExhausted
 from .novikov import (NovikovElement, _common_denominator, _order,
                       _rescaled, divide_exact, parse)
-from .rationals import INFINITE, Level, as_level, format_level
+from .rationals import INFINITE, Level, as_level
 
 
 class NovikovMatrix:
@@ -65,6 +65,10 @@ class NovikovMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("NovikovMatrix is immutable")
+
+    def __reduce__(self):
+        # copy and pickle would restore the slots through __setattr__
+        return NovikovMatrix, (self.entries, self.trunc, self.shape)
 
     @classmethod
     def identity(cls, size: int, trunc: Level = INFINITE) -> "NovikovMatrix":
@@ -284,6 +288,9 @@ class ChainComplex:
     def __setattr__(self, name, value):
         raise AttributeError("ChainComplex is immutable")
 
+    def __reduce__(self):
+        return ChainComplex, (self.ranks, self.differentials)
+
     def top_degree(self) -> int:
         return len(self.ranks) - 1
 
@@ -393,44 +400,6 @@ def torsion_threshold(decomposition: ModuleDecomposition) -> Level:
     return Fraction(0)
 
 
-def lipschitz_check(first: ModuleDecomposition,
-                    second: ModuleDecomposition,
-                    nu0) -> dict:
-    """Stability comparison of two torsion ladders at distance nu0.
-
-    For each index i with lambda_i > nu0 (exponents sorted descending)
-    the second ladder must be at least i+1 long, and when both i-th
-    exponents exceed nu0 they must differ by at most nu0.  Returns a
-    report; never raises on failure.
-    """
-    nu0 = Fraction(nu0)
-    checks = []
-    passed = True
-    for index, value in enumerate(first.torsion):
-        if value <= nu0:
-            continue
-        survives = index < len(second.torsion)
-        checks.append({
-            "index": index,
-            "kind": "survival",
-            "ok": survives,
-            "detail": f"lambda_{index} = {value} > {nu0} needs a partner",
-        })
-        passed = passed and survives
-        if survives and second.torsion[index] > nu0:
-            gap = abs(value - second.torsion[index])
-            ok = gap <= nu0
-            checks.append({
-                "index": index,
-                "kind": "distance",
-                "ok": ok,
-                "detail": f"|{value} - {second.torsion[index]}| = {gap} "
-                          f"vs {nu0}",
-            })
-            passed = passed and ok
-    return {"nu0": str(nu0), "checks": checks, "passed": passed}
-
-
 # -- JSON codecs --------------------------------------------------------
 
 def matrix_to_json(matrix: NovikovMatrix) -> dict:
@@ -456,14 +425,6 @@ def matrix_from_json(data: dict, trunc: Level | None = None) -> NovikovMatrix:
     if matrix.rows == 0:
         return NovikovMatrix.zeros(data["rows"], data["cols"])
     return matrix
-
-
-def complex_to_json(complex_: ChainComplex) -> dict:
-    return {
-        "ranks": list(complex_.ranks),
-        "differentials": [matrix_to_json(m) for m in complex_.differentials],
-        "trunc": format_level(complex_.trunc),
-    }
 
 
 def complex_from_json(data: dict, trunc: Level | None = None) -> ChainComplex:

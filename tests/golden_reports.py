@@ -1,11 +1,14 @@
-"""Golden reports of ``snf`` and ``decompose``: fixed inputs, pinned stdout.
+"""Golden reports: ``snf`` and ``decompose`` stdout, and hamlab suite reports.
 
 ``golden/cases.json`` lists each case: the subcommand, the matrix or
 complex file contents, and any further arguments.  For each case the
 expected stdout and exit code of the text report are kept in
 ``golden/<name>.txt`` and those of the ``--json`` report in
 ``golden/<name>.json.txt``; the first line of each file is the exit
-code.  To rewrite them after an intended report change, run
+code.  ``golden/hamlab.json`` keeps the report dicts of four small
+hamlab suite runs (see ``HAMLAB_RUNS``), every value as its ``repr``,
+so floats are pinned to the last bit.  To rewrite them after an
+intended report change, run
 
     PYTHONPATH=src python tests/golden_reports.py
 
@@ -23,6 +26,15 @@ import sys
 import tempfile
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+HAMLAB = os.path.join(GOLDEN, "hamlab.json")
+
+# suite name and keyword arguments of each pinned hamlab run
+HAMLAB_RUNS = (
+    ("energy", {"seed": 0, "cases": 4}),
+    ("actiondiff", {"seed": 0, "cases": 2}),
+    ("hat", {"seed": 0, "cases": 3}),
+    ("hofer", {"seed": 0}),
+)
 
 
 def cases() -> list[dict]:
@@ -53,27 +65,38 @@ def render(case: dict, as_json: bool) -> str:
     return f"{code}\n{out.getvalue()}"
 
 
+def render_hamlab() -> str:
+    """The pinned hamlab reports as the text of ``golden/hamlab.json``."""
+    from torsionlab.hamlab import verify
+
+    reports = {}
+    for suite, kwargs in HAMLAB_RUNS:
+        report = getattr(verify, "suite_" + suite)(**kwargs)
+        reports[suite] = {key: repr(value) for key, value in report.items()}
+    return json.dumps(reports, indent=1) + "\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
                         help="compare with the expected files; write nothing")
     check = parser.parse_args(argv).check
     differ = []
-    for case in cases():
-        for as_json in (False, True):
-            path = expected_path(case, as_json)
-            report = render(case, as_json)
-            if not check:
-                with open(path, "w", encoding="utf-8") as handle:
-                    handle.write(report)
-                continue
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    expected = handle.read()
-            except FileNotFoundError:
-                expected = None
-            if report != expected:
-                differ.append(os.path.basename(path))
+    rendered = [(expected_path(case, as_json), render(case, as_json))
+                for case in cases() for as_json in (False, True)]
+    rendered.append((HAMLAB, render_hamlab()))
+    for path, report in rendered:
+        if not check:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(report)
+            continue
+        try:
+            with open(path, encoding="utf-8") as handle:
+                expected = handle.read()
+        except FileNotFoundError:
+            expected = None
+        if report != expected:
+            differ.append(os.path.basename(path))
     for name in differ:
         print(name)
     return 1 if differ else 0

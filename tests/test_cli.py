@@ -228,6 +228,15 @@ def test_failed_suite_exits_2(capsys):
     assert "passed: no" in out
 
 
+@pytest.mark.parametrize("suite", ["hat", "hofer"])
+def test_resolution_for_a_suite_without_a_grid_exits_2(capsys, suite):
+    code, out, err = invoke(capsys, "verify", "--suite", suite,
+                            "--resolution", "0.5")
+    assert code == 2
+    assert out == ""
+    assert f"error: suite '{suite}' takes no resolution" in err
+
+
 def test_optimize_equator_is_nondisplaceable(capsys):
     code, out, _ = invoke(capsys, "optimize", "--model", "sphere:1xsphere:1",
                           "--resolution", "4")

@@ -1,13 +1,12 @@
-"""Hamiltonian fields, normalization, and Hofer norms."""
+"""Hamiltonian fields and Hofer norms."""
 
 import math
 
 import numpy as np
 import pytest
 
-from torsionlab.errors import NonCompact, UnboundedDomain
-from torsionlab.hamlab import (HamiltonianField, euclidean_plane,
-                               hofer_norms, normalize, sphere_space)
+from torsionlab.errors import UnboundedDomain
+from torsionlab.hamlab import HamiltonianField, euclidean_plane, hofer_norms
 
 BOX = [(-1.0, 1.0), (-1.0, 1.0)]
 PI_BOX = [(-math.pi, math.pi), (-math.pi, math.pi)]
@@ -75,38 +74,6 @@ def test_hofer_norm_needs_a_box_on_open_spaces():
     H = HamiltonianField(euclidean_plane(), "x1**2")
     with pytest.raises(UnboundedDomain):
         hofer_norms(H)
-
-
-def test_normalize_rejects_noncompact_spaces():
-    H = HamiltonianField(euclidean_plane(), "x1")
-    with pytest.raises(NonCompact):
-        normalize(H)
-
-
-def test_normalize_kills_constants():
-    sphere = sphere_space(2.0)
-    H = HamiltonianField(sphere, "5")
-    flat = normalize(H)
-    pts = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    assert np.allclose(flat.value(0.3, pts), 0.0)
-
-
-def test_height_already_has_zero_mean():
-    """The height function is odd, so normalization leaves it alone."""
-    sphere = sphere_space(2.0)
-    H = HamiltonianField(sphere, "p3")
-    flat = normalize(H)
-    pts = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]])
-    assert np.allclose(flat.value(0.0, pts), H.value(0.0, pts), atol=1e-12)
-
-
-def test_normalized_field_keeps_the_flow_data():
-    sphere = sphere_space(2.0)
-    H = HamiltonianField(sphere, "p3 + 1")
-    flat = normalize(H)
-    pts = np.array([[0.6, 0.0, 0.8]])
-    assert np.allclose(flat.vector_field(0.0, pts),
-                       H.vector_field(0.0, pts))
 
 
 def test_random_quadratics_have_nonnegative_norm():

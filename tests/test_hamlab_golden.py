@@ -1,0 +1,17 @@
+"""hamlab suite reports stay identical to the last bit.
+
+``golden/hamlab.json`` was written by ``golden_reports.py`` from the code
+before hamlab was cut down to the plane (the phase-space interface, the
+sphere and product spaces and the unused verifiers removed), so this
+test checks that the change left every report value as it was.
+``python tests/golden_reports.py --check`` runs the same comparison
+without pytest and writes nothing.
+"""
+
+from golden_reports import HAMLAB, render_hamlab
+
+
+def test_hamlab_reports_match_golden():
+    with open(HAMLAB, encoding="utf-8") as handle:
+        expected = handle.read()
+    assert render_hamlab() == expected

@@ -4,7 +4,9 @@ Expected values for the worked examples were frozen from hand expansion
 before the implementation existed; see the oracle comments inline.
 """
 
+import copy
 import doctest
+import pickle
 import random
 from fractions import Fraction
 
@@ -326,6 +328,27 @@ def test_equality_and_hash_ignore_the_stored_denominator():
     assert halves.retruncate(3) == sixths.retruncate(3)
     assert hash(halves.retruncate(3)) == hash(sixths.retruncate(3))
     assert halves != sixths.retruncate(F(5, 3))
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+@pytest.mark.parametrize("how", COPIES)
+def test_elements_copy_and_pickle_as_equal_values(how):
+    # "1 + T(1/2)" stored over 6 keeps that denominator through the trip
+    sixths = nov("1 + T(1/2) + T(1/3)") - nov("T(1/3)")
+    for x in (NovikovElement.one(), nov("-2*T(1) + T(5/2)").retruncate(7),
+              sixths.retruncate(F(5, 3)), NovikovElement.zero(4)):
+        y = COPIES[how](x)
+        assert y == x and hash(y) == hash(x)
+        assert (y.terms, y.trunc) == (x.terms, x.trunc)
+        assert y._den == x._den
+    with pytest.raises(AttributeError, match="immutable"):
+        y._terms = ()
 
 
 def test_scalar_coercion():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from torsionlab.hamlab import rho_k, rho_minus, rho_plus
+from torsionlab.hamlab import rho_k, rho_plus
 
 
 def test_rho_plus_endpoints():
@@ -24,13 +24,6 @@ def test_rho_plus_slope_is_nonnegative_and_peaks_midway():
     assert np.all(slopes >= 0.0)
     assert rho.slope(np.array([0.5]))[0] == pytest.approx(1.875)
     assert rho.slope(np.array([-0.2, 1.2])) == pytest.approx([0.0, 0.0])
-
-
-def test_rho_minus_mirrors_rho_plus():
-    plus, minus = rho_plus(), rho_minus()
-    tau = np.linspace(-2.0, 3.0, 77)
-    assert np.allclose(plus(tau) + minus(tau), 1.0)
-    assert np.allclose(plus.slope(tau) + minus.slope(tau), 0.0)
 
 
 def test_rho_k_plateau_and_support():
@@ -72,7 +65,7 @@ def test_rho_k_rejects_negative_width():
         rho_k(-0.1)
 
 
-@pytest.mark.parametrize("make", [rho_plus, rho_minus,
+@pytest.mark.parametrize("make", [rho_plus,
                                   lambda: rho_k(2.0), lambda: rho_k(0.5)])
 def test_slope_matches_finite_differences(make):
     """Central differences of the profile reproduce its slope field."""

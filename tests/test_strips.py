@@ -1,11 +1,12 @@
-"""Strip maps, areas, actions, and energies."""
+"""Strip maps, areas and energies."""
 
 import numpy as np
 import pytest
 
-from torsionlab.hamlab import (HamiltonianField, StripMap,
-                               concatenate_strips, energy_functional,
-                               euclidean_plane, pullback_area, action)
+from torsionlab.hamlab import (HamiltonianField, StripMap, energy_functional,
+                               euclidean_plane, pullback_area)
+
+from strip_grid import strip_from_function
 
 SPACE = euclidean_plane()
 
@@ -13,8 +14,8 @@ SPACE = euclidean_plane()
 def bilinear_strip(A, B, ns=41, nt=41):
     tau = np.linspace(0.0, 1.0, ns)
     t = np.linspace(0.0, 1.0, nt)
-    return StripMap.from_function(
-        SPACE, lambda s, u: np.stack([A * s, B * u], axis=-1), tau, t)
+    return strip_from_function(
+        lambda s, u: np.stack([A * s, B * u], axis=-1), tau, t)
 
 
 def test_shape_validation():
@@ -29,22 +30,15 @@ def test_shape_validation():
 def test_constant_strip_has_zero_area():
     tau = np.linspace(-1, 1, 9)
     t = np.linspace(0, 1, 9)
-    strip = StripMap.from_function(
-        SPACE, lambda s, u: np.stack([np.ones_like(s), np.zeros_like(u)],
-                                     axis=-1), tau, t)
+    strip = strip_from_function(
+        lambda s, u: np.stack([np.ones_like(s), np.zeros_like(u)],
+                              axis=-1), tau, t)
     assert pullback_area(strip) == 0.0
 
 
 def test_bilinear_area():
     strip = bilinear_strip(0.7, 0.5)
     assert pullback_area(strip) == pytest.approx(0.35, abs=1e-12)
-
-
-def test_action_adds_hamiltonian_along_top_edge():
-    strip = bilinear_strip(0.7, 0.5)
-    H = HamiltonianField(SPACE, "2")
-    assert action(strip) == pytest.approx(0.35, abs=1e-12)
-    assert action(strip, H) == pytest.approx(2.35, abs=1e-12)
 
 
 def test_edges_are_the_extreme_rows():
@@ -62,7 +56,7 @@ def test_holomorphic_strip_energy_equals_area():
         z = 0.2 * np.exp(s + 1j * u)
         return np.stack([z.real, z.imag], axis=-1)
 
-    strip = StripMap.from_function(SPACE, fn, tau, t)
+    strip = strip_from_function(fn, tau, t)
     H = HamiltonianField(SPACE, "0")
     energy, geometric = energy_functional(strip, H, None)
     area = pullback_area(strip)
@@ -79,34 +73,3 @@ def test_energy_profile_weighting():
     e_none, g_none = energy_functional(strip, H, None)
     assert np.isfinite(e_none) and np.isfinite(g_none)
     assert e_none >= g_none - 1e-12
-
-
-def test_concatenation_is_area_additive():
-    def fn(s, u):
-        return np.stack([s + 0.3 * s**2, u + 0.1 * s * u], axis=-1)
-
-    t = np.linspace(0.0, 1.0, 21)
-    cap = StripMap.from_function(SPACE, fn, np.linspace(-1.0, 0.0, 21), t)
-    strip = StripMap.from_function(SPACE, fn, np.linspace(0.0, 2.0, 41), t)
-    glued = concatenate_strips(cap, strip)
-    assert glued.points.shape[0] == 21 + 41 - 1
-    total = pullback_area(glued)
-    assert total == pytest.approx(pullback_area(cap) + pullback_area(strip),
-                                  abs=1e-12)
-
-
-def test_concatenation_rejects_mismatched_seams():
-    t = np.linspace(0.0, 1.0, 11)
-    cap = bilinear_strip(1.0, 1.0, ns=5, nt=11)
-    shifted = StripMap.from_function(
-        SPACE, lambda s, u: np.stack([s + 5.0, u], axis=-1),
-        np.linspace(0, 1, 5), t)
-    with pytest.raises(ValueError):
-        concatenate_strips(cap, shifted)
-
-
-def test_concatenation_rejects_different_t_grids():
-    cap = bilinear_strip(1.0, 1.0, ns=5, nt=11)
-    other = bilinear_strip(1.0, 1.0, ns=5, nt=13)
-    with pytest.raises(ValueError):
-        concatenate_strips(cap, other)

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 import sympy
 
-from torsionlab.hamlab import (HamiltonianField, StripMap,
-                               difference_hamiltonian, euclidean_plane,
-                               flow, rho_k, rho_plus, run_suite,
-                               sphere_space, verify_actiondiff,
-                               verify_action_telescoping,
+from torsionlab.hamlab import (HamiltonianField, difference_hamiltonian,
+                               euclidean_plane, flow, rho_k, rho_plus,
+                               run_suite, verify_actiondiff,
                                verify_energy_identity)
 from torsionlab.hamlab.verify import (suite_actiondiff, suite_energy,
                                       suite_hat)
+
+from strip_grid import strip_from_function
 
 SPACE = euclidean_plane()
 
@@ -27,7 +27,7 @@ def bump_strip(lo=-3.0, hi=3.0, ns=301, nt=101, amp=0.05):
         return np.stack([0.1 + amp * e * (1 + u),
                          -0.2 + amp * e * u**2], axis=-1)
 
-    return StripMap.from_function(SPACE, fn, tau, t)
+    return strip_from_function(fn, tau, t)
 
 
 def test_energy_identity_without_hamiltonian_term():
@@ -59,25 +59,6 @@ def test_energy_identity_random_quadratic(profile):
     assert report["energy_slack"] >= -1e-10
 
 
-def test_energy_identity_on_the_sphere():
-    """The identity is space-agnostic; spot-check the curved branch."""
-    sphere = sphere_space(2.0)
-    tau = np.linspace(-2.0, 2.0, 321)
-    t = np.linspace(0.0, 1.0, 161)
-
-    def fn(s, u):
-        polar = np.pi / 3 + 0.1 * np.tanh(s)
-        azimuth = 0.5 * u + 0.2 * u**2
-        return np.stack([np.sin(polar) * np.cos(azimuth),
-                         np.sin(polar) * np.sin(azimuth),
-                         np.cos(polar)], axis=-1)
-
-    strip = StripMap.from_function(sphere, fn, tau, t)
-    H = HamiltonianField(sphere, "p3")
-    report = verify_energy_identity(strip, H, rho_plus(), tol=5e-4)
-    assert report["passed"]
-
-
 @pytest.mark.parametrize("which,expected", [("first", 0.40),
                                             ("second", 0.30)])
 def test_actiondiff_linear_hand_value(which, expected):
@@ -85,8 +66,8 @@ def test_actiondiff_linear_hand_value(which, expected):
     A, B = 0.7, 0.5
     s = np.linspace(0.0, 1.0, 9)
     t = np.linspace(0.0, 1.0, 101)
-    strip = StripMap.from_function(
-        SPACE, lambda a, b: np.stack([A * a, B * b], axis=-1), s, t)
+    strip = strip_from_function(
+        lambda a, b: np.stack([A * a, B * b], axis=-1), s, t)
     H = HamiltonianField(SPACE, "3/10*x1 + 1/5*y1")
     report = verify_actiondiff(H, strip, which=which, tol=1e-9)
     assert report["passed"]
@@ -97,37 +78,12 @@ def test_actiondiff_linear_hand_value(which, expected):
 def test_actiondiff_quadratic_passes():
     s = np.linspace(0.0, 1.0, 9)
     t = np.linspace(0.0, 1.0, 257)
-    strip = StripMap.from_function(
-        SPACE, lambda a, b: np.stack([0.3 * a + 0.1 * b,
-                                      0.2 * b + 0.2 * a * b], axis=-1), s, t)
+    strip = strip_from_function(
+        lambda a, b: np.stack([0.3 * a + 0.1 * b,
+                               0.2 * b + 0.2 * a * b], axis=-1), s, t)
     H = HamiltonianField(SPACE, "x1**2/5 + x1*y1/10 + y1**2/5")
     report = verify_actiondiff(H, strip, which="first", tol=1e-6)
     assert report["passed"]
-
-
-def test_telescoping_identity_and_slacks():
-    strip = bump_strip(ns=601, nt=201)
-    t = strip.t
-    base = strip.base_edge
-    cap = StripMap(SPACE, np.linspace(-1.0, 0.0, 5), t,
-                   np.broadcast_to(base, (5,) + base.shape).copy())
-    H = HamiltonianField(SPACE, "x1**2/4 + y1**2/3 + x1/5")
-    report = verify_action_telescoping(strip, cap, H, rho_plus(), tol=1e-6)
-    assert report["passed"]
-    assert report["shoulder_slack_up"] >= 0.0
-    assert report["shoulder_slack_down"] >= 0.0
-    assert report["energy_slack"] >= -1e-10
-    assert report["rho_term"] >= report["rho_term_lower_bound"] - 1e-12
-
-
-def test_telescoping_requires_vanishing_profile():
-    strip = bump_strip(lo=-1.5, hi=3.0, ns=301)
-    cap = StripMap(SPACE, np.linspace(-1.0, 0.0, 5), strip.t,
-                   np.broadcast_to(strip.base_edge,
-                                   (5,) + strip.base_edge.shape).copy())
-    H = HamiltonianField(SPACE, "x1")
-    with pytest.raises(ValueError):
-        verify_action_telescoping(strip, cap, H, rho_k(2.0))
 
 
 def test_difference_hamiltonian_degenerate_pairs():
@@ -178,8 +134,16 @@ def test_run_suite_dispatch():
     report = run_suite("hofer", seed=1)
     assert report["suite"] == "hofer"
     assert report["passed"]
+    assert report["resolution"] is None
     with pytest.raises(ValueError):
         run_suite("nonsense")
+
+
+@pytest.mark.parametrize("suite", ["hat", "hofer"])
+def test_run_suite_rejects_a_resolution_the_suite_cannot_use(suite):
+    with pytest.raises(ValueError, match=f"suite '{suite}' takes no "
+                                         "resolution"):
+        run_suite(suite, resolution=0.5)
 
 
 @pytest.mark.parametrize("suite,families", [(suite_hat, 2),
