@@ -373,12 +373,19 @@ def suite_hofer(seed: int = 0, tol: float = 1e-6) -> dict:
     }
 
 
-# each suite, and whether it takes a grid resolution
+# The most samples a suite's finest grid may hold.  The energy suite
+# keeps about 100 bytes per sample, so this bounds it near 200 MB.
+MAX_GRID_POINTS = 2 ** 21
+
+# each suite, and for a suite on a grid the largest resolution that
+# leaves 3 samples on [0, 1] at its coarsest spacing, and the samples
+# of its finest grid at a resolution
 _SUITES = {
-    "energy": (suite_energy, True),
-    "actiondiff": (suite_actiondiff, True),
-    "hat": (suite_hat, False),
-    "hofer": (suite_hofer, False),
+    "energy": (suite_energy, 1 / 8,
+               lambda h: (10.0 / h + 1) * (1.0 / h + 1)),
+    "actiondiff": (suite_actiondiff, 1 / 2, lambda h: 9 * (1.0 / h + 1)),
+    "hat": (suite_hat, None, None),
+    "hofer": (suite_hofer, None, None),
 }
 
 
@@ -386,15 +393,23 @@ def run_suite(name: str, seed: int = 0, resolution: float = None,
               tol: float = None) -> dict:
     """Dispatch a named verification suite; settings left as None take
     the suite's defaults.  A resolution for a suite that has no grid is
-    an error."""
+    an error, and so is one outside (0, coarsest] or whose finest grid
+    would exceed MAX_GRID_POINTS; both are checked before any grid
+    exists."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of "
                          + ", ".join(sorted(_SUITES)))
-    fn, gridded = _SUITES[name]
+    fn, coarsest, samples = _SUITES[name]
     settings = {"seed": seed}
     if resolution is not None:
-        if not gridded:
+        if coarsest is None:
             raise ValueError(f"suite {name!r} takes no resolution")
+        if not (math.isfinite(resolution) and 0 < resolution <= coarsest
+                and samples(resolution) <= MAX_GRID_POINTS):
+            raise ValueError(
+                f"suite {name!r} needs a resolution in (0, {coarsest:g}] "
+                f"whose finest grid holds at most {MAX_GRID_POINTS} "
+                f"samples; got {resolution:g}")
         settings["resolution"] = resolution
     if tol is not None:
         settings["tol"] = tol

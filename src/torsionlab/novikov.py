@@ -451,17 +451,6 @@ def invert(x: NovikovElement) -> NovikovElement:
     return divide_exact(NovikovElement.one(), x)
 
 
-def default_truncation(values: Iterable[Level]) -> Level:
-    """Energy budget used when no truncation is requested: four times the
-    largest finite input valuation (infinite when every input is exact
-    zero or no value is finite)."""
-    finite = [Fraction(v) for v in values if not is_infinite(v)]
-    if not finite:
-        return INFINITE
-    top = max(max(finite), Fraction(1))
-    return 4 * top
-
-
 # -- text encoding ----------------------------------------------------
 #
 # Canonical form: terms sorted by T-exponent, joined by " + " / " - ",

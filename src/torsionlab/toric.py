@@ -29,6 +29,11 @@ remaining n - 1 directions repeats it 2^(n-1) times.  When w vanishes
 below the truncation every differential is zero and the cohomology is
 free of rank 2^n.  The torsion threshold, v or +inf, is a lower bound
 for the displacement energy of the fiber.
+
+Since w is a finite sum, v needs no ring arithmetic: group the facets by
+area and sum the normals in each group; v is the smallest area whose
+summed normal is nonzero.  A truncation level ``trunc`` gives the answer
+as seen below that level; omitting it gives the exact answer.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import EmptyInterior, FiberOnBoundary
-from .novikov import NovikovElement, default_truncation
+from .novikov import NovikovElement
 from .rationals import INFINITE, Level, as_level, is_infinite
 from .valmat import ModuleDecomposition
 
@@ -147,15 +152,6 @@ def product(*models: MomentModel) -> MomentModel:
                        description=description)
 
 
-@dataclass(frozen=True)
-class DiskClass:
-    """Maslov-index-two disk through the fiber: boundary class and area."""
-
-    boundary: tuple[int, ...]
-    area: Fraction
-    facet_index: int
-
-
 def facet_areas(model: MomentModel, fiber: Sequence) -> tuple[Fraction, ...]:
     """Exact facet distances; positive on the interior.
 
@@ -169,41 +165,39 @@ def facet_areas(model: MomentModel, fiber: Sequence) -> tuple[Fraction, ...]:
     return slacks
 
 
-def enumerate_disks(model: MomentModel, fiber: Sequence) -> tuple[DiskClass, ...]:
-    areas = facet_areas(model, fiber)
-    return tuple(
-        DiskClass(boundary=facet.normal, area=area, facet_index=index)
-        for index, (facet, area) in enumerate(zip(model.facets, areas)))
+def _area_normals(model: MomentModel, fiber: Sequence
+                  ) -> dict[Fraction, list[int]]:
+    """Each facet area at the fiber, mapped to the summed normals of the
+    facets with that area: the coefficient of T^area in every covector
+    component."""
+    table: dict[Fraction, list[int]] = {}
+    for facet, area in zip(model.facets, facet_areas(model, fiber)):
+        summed = table.setdefault(area, [0] * model.dim)
+        for i, c in enumerate(facet.normal):
+            summed[i] += c
+    return table
 
 
 def potential(model: MomentModel, fiber: Sequence) -> NovikovElement:
     """Sum of T^area over the disk classes (an exact element)."""
-    return NovikovElement(
-        (Fraction(1), disk.area) for disk in enumerate_disks(model, fiber))
+    return NovikovElement((1, area) for area in facet_areas(model, fiber))
 
 
 def boundary_covector(model: MomentModel, fiber: Sequence,
                       trunc: Level | None = None
                       ) -> tuple[NovikovElement, ...]:
-    """The contraction covector w with w_i = sum_j T^(area_j) normal_j[i].
+    """The contraction covector w with w_i = sum_j T^(area_j) normal_j[i],
+    below ``trunc`` (exact when omitted).
 
     Components cancel exactly when facet areas balance, e.g. over the
     equator of a sphere factor.
     """
-    disks = enumerate_disks(model, fiber)
-    if trunc is None:
-        trunc = default_truncation(disk.area for disk in disks)
-    level = as_level(trunc)
-    components = []
-    for i in range(model.dim):
-        components.append(NovikovElement(
-            ((Fraction(disk.boundary[i]), disk.area)
-             for disk in disks if disk.boundary[i] != 0), level))
-    return tuple(components)
-
-
-def _smallest_valuation(covector: Sequence[NovikovElement]) -> Level:
-    return min((w.valuation() for w in covector), default=INFINITE)
+    table = _area_normals(model, fiber)
+    level = INFINITE if trunc is None else as_level(trunc)
+    return tuple(
+        NovikovElement(((normal[i], area) for area, normal in table.items()
+                        if normal[i]), level)
+        for i in range(model.dim))
 
 
 def floer_cohomology(model: MomentModel, fiber: Sequence,
@@ -216,7 +210,7 @@ def floer_cohomology(model: MomentModel, fiber: Sequence,
     v: a unimodular change of basis takes w to (T^v * unit, 0, ..., 0),
     and the Koszul complex becomes K(T^v) (x) Lambda(n - 1).
     """
-    value = _smallest_valuation(boundary_covector(model, fiber, trunc))
+    value = torsion_threshold_at(model, fiber, trunc)
     if is_infinite(value):
         return ModuleDecomposition(betti=2 ** model.dim, torsion=())
     return ModuleDecomposition(betti=0,
@@ -225,10 +219,12 @@ def floer_cohomology(model: MomentModel, fiber: Sequence,
 
 def torsion_threshold_at(model: MomentModel, fiber: Sequence,
                          trunc: Level | None = None) -> Level:
-    """Torsion threshold of the fiber's cohomology, read off the
-    covector without building the torsion exponents: +inf when it
-    vanishes, its smallest component valuation otherwise."""
-    return _smallest_valuation(boundary_covector(model, fiber, trunc))
+    """Torsion threshold of the fiber's cohomology: the smallest facet
+    area below ``trunc`` whose summed normal is nonzero (the smallest
+    covector valuation), +inf when there is none."""
+    level = INFINITE if trunc is None else as_level(trunc)
+    return min((area for area, normal in _area_normals(model, fiber).items()
+                if area < level and any(normal)), default=INFINITE)
 
 
 # -- optimization over the fiber location --------------------------------
@@ -313,8 +309,8 @@ def optimize_threshold(model: MomentModel, resolution: int = 8,
 
     The grid subdivides each coordinate interval into ``resolution``
     parts (nested grids, so doubling the resolution never lowers the
-    result).  A fiber with vanishing covector short-circuits the search
-    with value +inf.  Refinement rounds run coordinate descent on
+    result).  A fiber of threshold +inf (vanishing covector) short-circuits
+    the search.  Refinement rounds run coordinate descent on
     successively halved windows around the incumbent.
     """
     if resolution < 1:
@@ -334,12 +330,11 @@ def optimize_threshold(model: MomentModel, resolution: int = 8,
     for candidate in itertools.product(*axes):
         if not model.is_interior(candidate):
             continue
-        covector = boundary_covector(model, candidate, trunc)
-        if all(w.is_zero() for w in covector):
+        value = evaluate(candidate)
+        if is_infinite(value):
             return ThresholdSearch(fiber=tuple(candidate), value=INFINITE,
                                    resolution=resolution,
                                    non_displaceable=True)
-        value = evaluate(candidate)
         if best_value is None or value > best_value:
             best_point, best_value = tuple(candidate), value
     if best_point is None:

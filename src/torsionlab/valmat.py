@@ -402,16 +402,6 @@ def torsion_threshold(decomposition: ModuleDecomposition) -> Level:
 
 # -- JSON codecs --------------------------------------------------------
 
-def matrix_to_json(matrix: NovikovMatrix) -> dict:
-    from .novikov import to_text
-    return {
-        "rows": matrix.rows,
-        "cols": matrix.cols,
-        "entries": [[to_text(value) for value in row]
-                    for row in matrix.entries],
-    }
-
-
 def matrix_from_json(data: dict, trunc: Level | None = None) -> NovikovMatrix:
     entries = data["entries"]
     if len(entries) != data["rows"] or any(

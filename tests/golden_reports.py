@@ -1,8 +1,10 @@
-"""Golden reports: ``snf`` and ``decompose`` stdout, and hamlab suite reports.
+"""Golden reports: CLI stdout of the exact subcommands, and hamlab reports.
 
-``golden/cases.json`` lists each case: the subcommand, the matrix or
-complex file contents, and any further arguments.  For each case the
-expected stdout and exit code of the text report are kept in
+``golden/cases.json`` lists each case: the subcommand, its arguments,
+and for ``snf`` and ``decompose`` the matrix or complex file contents
+(the ``input`` key).  A ``torsion``, ``polydisk`` or ``optimize`` case
+has no ``input``: its argument list is the whole command.  For each
+case the expected stdout and exit code of the text report are kept in
 ``golden/<name>.txt`` and those of the ``--json`` report in
 ``golden/<name>.json.txt``; the first line of each file is the exit
 code.  ``golden/hamlab.json`` keeps the report dicts of four small
@@ -52,16 +54,17 @@ def render(case: dict, as_json: bool) -> str:
     from torsionlab.cli import run
 
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "input.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(case["input"], handle)
-        flag = "--matrix" if case["command"] == "snf" else "--complex"
-        argv = (["--json"] if as_json else []) + [
-            case["command"], flag, path] + case["args"]
+        argv = (["--json"] if as_json else []) + [case["command"]]
+        if "input" in case:
+            path = os.path.join(tmp, "input.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(case["input"], handle)
+            argv += ["--matrix" if case["command"] == "snf"
+                     else "--complex", path]
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
-            code = run(argv)
+            code = run(argv + case["args"])
     return f"{code}\n{out.getvalue()}"
 
 

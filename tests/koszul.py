@@ -10,8 +10,8 @@ import itertools
 import math
 
 from torsionlab.novikov import NovikovElement
-from torsionlab.rationals import INFINITE
-from torsionlab.toric import boundary_covector
+from torsionlab.rationals import as_level
+from torsionlab.toric import boundary_covector, facet_areas
 from torsionlab.valmat import ChainComplex, NovikovMatrix
 
 
@@ -36,10 +36,15 @@ def koszul_complex(model, fiber, trunc=None) -> ChainComplex:
     """The contraction complex in all exterior degrees.
 
     Cochain degree k holds exterior degree n - k, so the contraction,
-    which lowers exterior degree, raises cochain degree.
+    which lowers exterior degree, raises cochain degree.  Without
+    ``trunc`` the complex is taken below twice the largest facet area.
+    That level decides the answer, since the threshold is a facet area
+    or inf, and a finite level lets the normal form end where an exact
+    one would need an infinite series.
     """
-    covector = boundary_covector(model, fiber, trunc)
-    level = min((w.trunc for w in covector), default=INFINITE)
+    level = 2 * max(facet_areas(model, fiber)) if trunc is None \
+        else as_level(trunc)
+    covector = boundary_covector(model, fiber, level)
     n = model.dim
     ranks = [math.comb(n, n - k) for k in range(n + 1)]
     differentials = [contraction_matrix(covector, n - k, level)

@@ -237,6 +237,26 @@ def test_resolution_for_a_suite_without_a_grid_exits_2(capsys, suite):
     assert f"error: suite '{suite}' takes no resolution" in err
 
 
+@pytest.mark.parametrize("suite,value", [
+    ("energy", "0"), ("energy", "-0.25"), ("energy", "1"),
+    ("energy", "1e-6"), ("actiondiff", "1e-6"), ("actiondiff", "nan")])
+def test_resolution_out_of_range_exits_2_before_any_grid(
+        capsys, monkeypatch, suite, value):
+    import numpy
+    import torsionlab.hamlab  # noqa: F401  (imported before the patch)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was sampled")
+
+    monkeypatch.setattr(numpy, "linspace", no_grid)
+    code, out, err = invoke(capsys, "verify", "--suite", suite,
+                            "--resolution", value)
+    assert code == 2
+    assert out == ""
+    assert f"error: suite '{suite}' needs a resolution in (0, " in err
+    assert "samples; got" in err
+
+
 def test_optimize_equator_is_nondisplaceable(capsys):
     code, out, _ = invoke(capsys, "optimize", "--model", "sphere:1xsphere:1",
                           "--resolution", "4")

@@ -1,4 +1,4 @@
-"""Reports of ``snf`` and ``decompose`` stay byte-identical.
+"""Reports of the exact subcommands stay byte-identical.
 
 The expected files were written by ``golden_reports.py`` from the code
 before the Novikov ring's trusted construction and in-place division, so
@@ -9,6 +9,12 @@ quotients, negative exponents, Koszul complexes of toric fibers).  The two
 ``mixed-denominators`` cases, whose entries mix T(1/3), T(2/5) and T(1/2)
 at truncation 7/2, were written from the code before exponents became
 integers over a per-element denominator, and pin that change the same way.
+The ``torsion``, ``polydisk`` and ``optimize`` cases (reference fibers,
+equators, a cylinder, a CP^2 centre, ``--trunc inf`` and a finite level
+above the threshold, the three polydisk modes and an extrapolation, three
+optimizer models) were written from the code that still read the toric
+answers off truncated Novikov elements, before they came from one table
+of facet areas and summed normals.
 ``python tests/golden_reports.py --check`` runs the same comparison
 without pytest and writes nothing.
 """

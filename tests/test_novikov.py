@@ -17,7 +17,6 @@ from torsionlab import novikov
 from torsionlab.errors import PrecisionExhausted
 from torsionlab.novikov import (
     NovikovElement,
-    default_truncation,
     divide_exact,
     from_text,
     invert,
@@ -241,13 +240,6 @@ def test_division_with_negative_valuation_result():
 
 
 # -- truncation helpers -------------------------------------------------
-
-def test_default_truncation_is_four_times_largest():
-    assert default_truncation([F(3), F(1, 2)]) == 12
-    assert default_truncation([F(1, 2)]) == 4  # floor at 1
-    assert default_truncation([]) == INFINITE
-    assert default_truncation([INFINITE]) == INFINITE
-
 
 def test_retruncate_never_raises_level():
     x = nov("1 + T(2)", trunc=4)

@@ -16,7 +16,6 @@ from torsionlab.toric import (
     boundary_covector,
     coordinate_intervals,
     cylinder_factor,
-    enumerate_disks,
     facet_areas,
     floer_cohomology,
     model_from_factors,
@@ -108,7 +107,7 @@ def test_invalid_constructor_arguments():
         projective_factor(0, 3)
 
 
-# -- disks, areas, potential ----------------------------------------------
+# -- areas, potential -----------------------------------------------------
 
 def test_facet_areas_equator():
     assert facet_areas(sphere_factor(1), [F(1, 2)]) == (F(1, 2), F(1, 2))
@@ -128,20 +127,6 @@ def test_facet_areas_boundary_rejected():
         facet_areas(sphere_factor(1), [F(0)])
     with pytest.raises(FiberOnBoundary):
         facet_areas(sphere_factor(1), [F(2)])
-
-
-def test_enumerate_disks_cylinder():
-    disks = enumerate_disks(cylinder_factor(), [F(3, 4)])
-    assert len(disks) == 1
-    assert disks[0].boundary == (1,)
-    assert disks[0].area == F(3, 4)
-
-
-def test_enumerate_disks_concatenates_factors():
-    model = product(cylinder_factor(), sphere_factor(1))
-    disks = enumerate_disks(model, [F(3, 4), F(1, 2)])
-    assert [d.boundary for d in disks] == [(1, 0), (0, 1), (0, -1)]
-    assert [d.area for d in disks] == [F(3, 4), F(1, 2), F(1, 2)]
 
 
 def test_potential_merges_equal_areas():
@@ -203,7 +188,7 @@ def snapped_fibers(draw):
     """A product of at most three spheres, CP^1 or CP^2 and cylinders,
     with each factor's fiber coordinates at its centre (sphere equator,
     simplex barycentre) or at a free interior point, and a truncation:
-    automatic, at or below the smallest facet area, or free."""
+    none (exact), at or below the smallest facet area, or free."""
     factors = []
     fiber = []
     for _ in range(draw(st.integers(1, 3))):
@@ -304,15 +289,15 @@ def test_free_rank_positive_iff_covector_vanishes():
             assert dec.betti == 0
 
 
-def test_threshold_dominates_minimum_covector_valuation():
-    rng = random.Random(1234)
-    for _ in range(25):
-        model, fiber = random_model(rng)
-        w = boundary_covector(model, fiber)
-        valuations = [c.valuation() for c in w if not c.is_zero()]
-        if not valuations:
-            continue
-        assert torsion_threshold_at(model, fiber) >= min(valuations)
+@settings(max_examples=150)
+@given(snapped_fibers())
+def test_threshold_dominates_minimum_covector_valuation(case):
+    # equality: the threshold is the smallest valuation of the covector
+    # at the same truncation, inf when every component vanishes
+    model, fiber, trunc = case
+    w = boundary_covector(model, fiber, trunc)
+    assert torsion_threshold_at(model, fiber, trunc) == \
+        min(c.valuation() for c in w)
 
 
 def test_threshold_translation_invariance():

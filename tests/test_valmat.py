@@ -31,7 +31,6 @@ from torsionlab.valmat import (
     decompose,
     intersection_bound,
     matrix_from_json,
-    matrix_to_json,
     smith_normal_form,
     torsion_threshold,
 )
@@ -414,14 +413,6 @@ def test_matrices_and_normal_forms_copy_and_pickle(how):
 
 
 # -- JSON ------------------------------------------------------------------
-
-def test_matrix_json_round_trip():
-    m = matrix([["1 - T(1)", "T(1/2)"], ["0", "2*T(2)"]], trunc=4)
-    data = matrix_to_json(m)
-    assert data["rows"] == 2 and data["cols"] == 2
-    again = matrix_from_json(data, trunc=4)
-    assert again == m
-
 
 def test_complex_json_round_trip():
     data = {

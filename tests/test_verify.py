@@ -146,6 +146,10 @@ def test_run_suite_rejects_a_resolution_the_suite_cannot_use(suite):
         run_suite(suite, resolution=0.5)
 
 
+def test_run_suite_accepts_its_coarsest_resolution():
+    assert run_suite("energy", resolution=1 / 8)["resolution"] == 1 / 8
+
+
 @pytest.mark.parametrize("suite,families", [(suite_hat, 2),
                                             (suite_energy, 1)])
 def test_suites_compile_each_family_once(monkeypatch, suite, families):
