@@ -25,16 +25,22 @@ to_text); matrix and complex files carry their entries in it.
 
 Inside an element the T-exponents and a finite truncation level are
 Python ints over one positive integer denominator, the element's own;
-``inf`` stays the level of an exact element.  Ring operations add,
-compare and hash those ints, and an operation on two elements over
-different denominators first brings both to the lcm of the two.
-Coefficients are Fractions.  The public values stay exact: ``terms``
-gives (coefficient, exponent) Fraction pairs, and ``trunc``,
-``valuation()`` and ``leading_term()`` give Fractions or ``inf``, the
-same whatever denominator an element happens to be stored over; so do
-equality and hashing.  Downstream quantities (valuations, torsion
-exponents, thresholds) are therefore exact rationals whenever they fall
-below the truncation budget; floating point is never involved.
+``inf`` stays the level of an exact element.  The coefficients are
+Python ints too, numerators over a second positive denominator of the
+element's own, the coefficient scale, kept in lowest terms: the scale
+and the numerators have no common factor, and the scale of zero is 1.
+Ring operations add, multiply and compare those ints.  An operation on
+two elements over different exponent denominators first brings both to
+the lcm of the two, and a sum over different scales brings the
+numerators to the lcm of the scales; every result is then reduced by
+one gcd.  Division runs as integer pseudo-division.  The public values
+stay exact: ``terms`` gives (coefficient, exponent) Fraction pairs, and
+``trunc``, ``valuation()`` and ``leading_term()`` give Fractions or
+``inf``, the same whatever exponent denominator an element happens to
+be stored over; so do equality and hashing.  Downstream quantities
+(valuations, torsion exponents, thresholds) are therefore exact
+rationals whenever they fall below the truncation budget; floating
+point is never involved.
 
 Elements are immutable values: every operation returns a new element, and
 sharing across threads is safe.  Outside input (the constructor,
@@ -65,18 +71,22 @@ from .rationals import INFINITE, Level, as_level, is_infinite
 
 # A term is (coefficient, T-exponent).
 Term = tuple[Fraction, Fraction]
-# Inside an element: (coefficient, T-exponent times the denominator).
-_Term = tuple[Fraction, int]
+# Inside an element: (coefficient times the scale, T-exponent times the
+# denominator).
+_Term = tuple[int, int]
 # A level times the denominator: an int, or INFINITE.
 _Level = int | float
 
 
 def _canonical_terms(terms: Iterable[tuple], trunc: Level
-                     ) -> tuple[tuple[_Term, ...], int, _Level]:
+                     ) -> tuple[tuple[_Term, ...], int, int, _Level]:
     """Validate outside input: coerce to Fraction, drop zeros and terms
     at or above ``trunc``, merge equal exponents, sort by exponent.
-    Returns the terms over the lcm of the denominators of the level and
-    of the exponents kept, that denominator, and the level over it."""
+    Returns the terms, their coefficients over the lcm of the
+    coefficient denominators (the scale, which leaves them in lowest
+    terms) and their exponents over the lcm of the denominators of the
+    level and of the exponents kept; then the scale, that denominator,
+    and the level over it."""
     finite = not is_infinite(trunc)
     den = trunc.denominator if finite else 1
     kept = []
@@ -95,18 +105,21 @@ def _canonical_terms(terms: Iterable[tuple], trunc: Level
         merged[e] = coeff if prev is None else prev + coeff
     level = trunc.numerator * den // trunc.denominator if finite \
         else INFINITE
-    return tuple([(c, e) for e, c in sorted(merged.items()) if c]), \
-        den, level
+    nonzero = [(c, e) for e, c in sorted(merged.items()) if c]
+    scale = math.lcm(*[c.denominator for c, _ in nonzero])
+    return tuple([(c.numerator * (scale // c.denominator), e)
+                   for c, e in nonzero]), scale, den, level
 
 
 class NovikovElement:
     """Immutable finite sum of T-monomials below a truncation level."""
 
-    __slots__ = ("_terms", "_den", "_level")
+    __slots__ = ("_terms", "_scale", "_den", "_level")
 
     def __init__(self, terms: Iterable[tuple] = (), trunc: Level = INFINITE):
-        terms, den, level = _canonical_terms(terms, as_level(trunc))
+        terms, scale, den, level = _canonical_terms(terms, as_level(trunc))
         object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_level", level)
 
@@ -115,17 +128,20 @@ class NovikovElement:
 
     def __reduce__(self):
         # copy and pickle would restore the slots through __setattr__
-        return NovikovElement._trusted, (self._terms, self._den, self._level)
+        return NovikovElement._trusted, (self._terms, self._scale,
+                                         self._den, self._level)
 
     @classmethod
-    def _trusted(cls, terms: tuple[_Term, ...], den: int,
+    def _trusted(cls, terms: tuple[_Term, ...], scale: int, den: int,
                  level: _Level) -> "NovikovElement":
-        """Wrap terms that are already canonical over ``den``: sorted by
-        exponent, no zero coefficient, every exponent below ``level``.
-        Ring results are built here; outside input goes through
-        ``__init__``."""
+        """Wrap terms that are already canonical over ``scale`` and
+        ``den``: sorted by exponent, no zero numerator, every exponent
+        below ``level``, numerators and scale in lowest terms.  Ring
+        results are built here (see ``_reduced``); outside input goes
+        through ``__init__``."""
         self = object.__new__(cls)
         object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_level", level)
         return self
@@ -150,8 +166,9 @@ class NovikovElement:
     @property
     def terms(self) -> tuple[Term, ...]:
         """(coefficient, T-exponent) Fraction pairs sorted by exponent."""
-        den = self._den
-        return tuple([(c, Fraction(e, den)) for c, e in self._terms])
+        scale, den = self._scale, self._den
+        return tuple([(Fraction(c, scale), Fraction(e, den))
+                      for c, e in self._terms])
 
     @property
     def trunc(self) -> Level:
@@ -174,7 +191,7 @@ class NovikovElement:
         if not self._terms:
             raise ValueError("zero element has no leading term")
         coeff, t_exp = self._terms[0]
-        return coeff, Fraction(t_exp, self._den)
+        return Fraction(coeff, self._scale), Fraction(t_exp, self._den)
 
     def retruncate(self, trunc: Level) -> "NovikovElement":
         """Drop terms at or above ``trunc``; keeps the smaller level."""
@@ -186,9 +203,8 @@ class NovikovElement:
         if level >= x._level:
             return self
         terms = x._terms
-        return NovikovElement._trusted(
-            terms[:bisect_left(terms, level, key=itemgetter(1))],
-            x._den, level)
+        return _reduced(terms[:bisect_left(terms, level, key=itemgetter(1))],
+                        x._scale, x._den, level)
 
     # -- ring operations ----------------------------------------------
 
@@ -210,7 +226,8 @@ class NovikovElement:
 
     def __neg__(self) -> "NovikovElement":
         return NovikovElement._trusted(
-            tuple([(-c, e) for c, e in self._terms]), self._den, self._level)
+            tuple([(-c, e) for c, e in self._terms]), self._scale,
+            self._den, self._level)
 
     def __sub__(self, other) -> "NovikovElement":
         other = self._coerce(other)
@@ -232,6 +249,7 @@ class NovikovElement:
         # a zero is known to vanish up to its own level
         level = min(x._level + (right[0][1] if right else y._level),
                     y._level + (left[0][1] if left else x._level))
+        scale = x._scale * y._scale
         if len(left) > len(right):
             left, right = right, left
         if len(left) == 1:
@@ -243,8 +261,8 @@ class NovikovElement:
                 if e >= level:
                     break
                 terms.append((a * b, e))
-            return NovikovElement._trusted(tuple(terms), x._den, level)
-        acc: dict[int, Fraction] = {}
+            return _reduced(terms, scale, x._den, level)
+        acc: dict[int, int] = {}
         for a, la in left:
             for b, lb in right:
                 e = la + lb
@@ -252,9 +270,8 @@ class NovikovElement:
                     break
                 prev = acc.get(e)
                 acc[e] = a * b if prev is None else prev + a * b
-        return NovikovElement._trusted(
-            tuple([(c, e) for e, c in sorted(acc.items()) if c]),
-            x._den, level)
+        return _reduced([(c, e) for e, c in sorted(acc.items()) if c],
+                        scale, x._den, level)
 
     __rmul__ = __mul__
 
@@ -280,7 +297,9 @@ class NovikovElement:
         if not isinstance(other, NovikovElement):
             return NotImplemented
         if self._den == other._den:
+            # lowest terms: one value has one scale and one numerator list
             return (self._terms == other._terms
+                    and self._scale == other._scale
                     and self._level == other._level)
         return self.terms == other.terms and self.trunc == other.trunc
 
@@ -289,7 +308,8 @@ class NovikovElement:
         terms = self._terms
         if self._level == INFINITE and (
                 not terms or (len(terms) == 1 and terms[0][1] == 0)):
-            return hash(terms[0][0]) if terms else hash(0)
+            return hash(Fraction(terms[0][0], self._scale)) if terms \
+                else hash(0)
         return hash((self.terms, self.trunc))
 
     def __repr__(self) -> str:
@@ -300,13 +320,26 @@ class NovikovElement:
         return iter(self.terms)
 
 
+def _reduced(terms, scale: int, den: int, level: _Level) -> NovikovElement:
+    """A ring result: canonical ``terms`` whose numerators lie over
+    ``scale``, brought to lowest terms by one gcd."""
+    if not terms:
+        return NovikovElement._trusted((), 1, den, level)
+    if scale != 1:
+        g = math.gcd(scale, *[c for c, _ in terms])
+        if g != 1:
+            scale //= g
+            terms = [(c // g, e) for c, e in terms]
+    return NovikovElement._trusted(tuple(terms), scale, den, level)
+
+
 def _rescaled(x: NovikovElement, den: int) -> NovikovElement:
     """x stored over ``den``, a multiple of its own denominator."""
     factor = den // x._den
     if factor == 1:
         return x
     return NovikovElement._trusted(
-        tuple([(c, e * factor) for c, e in x._terms]), den,
+        tuple([(c, e * factor) for c, e in x._terms]), x._scale, den,
         x._level * factor)
 
 
@@ -315,6 +348,18 @@ def _aligned(x: NovikovElement, y: NovikovElement
     """x and y stored over the lcm of their denominators."""
     den = math.lcm(x._den, y._den)
     return _rescaled(x, den), _rescaled(y, den)
+
+
+def _over_leading_coefficient(values: Iterable[NovikovElement],
+                              pivot: NovikovElement) -> list[NovikovElement]:
+    """Each value divided by the leading coefficient of the nonzero
+    ``pivot``: numerators times the pivot's scale, scale times the
+    pivot's leading numerator.  Levels and exponent denominators stay."""
+    num, den = pivot._scale, pivot._terms[0][0]
+    if den < 0:
+        num, den = -num, -den
+    return [_reduced([(c * num, e) for c, e in x._terms], x._scale * den,
+                     x._den, x._level) for x in values]
 
 
 def _common_denominator(values: Iterable[NovikovElement]) -> int:
@@ -330,13 +375,23 @@ def _order(x: NovikovElement) -> _Level:
 def _merge(x: NovikovElement, y: NovikovElement,
            negate: bool) -> NovikovElement:
     """x + y, or x - y when ``negate``: a merge of two sorted term
-    lists."""
+    lists whose numerators are first brought to the lcm of the two
+    scales."""
     if x._den != y._den:
         x, y = _aligned(x, y)
     level = min(x._level, y._level)
     left, terms = x._terms, y._terms
     if not terms and level == x._level:
         return x
+    scale = x._scale
+    if scale != y._scale:
+        scale = math.lcm(scale, y._scale)
+        factor = scale // x._scale
+        if factor != 1:
+            left = [(a * factor, la) for a, la in left]
+        factor = scale // y._scale
+        if factor != 1:
+            terms = [(b * factor, lb) for b, lb in terms]
     out: list[_Term] = []
     i = j = 0
     n_left, n_right = len(left), len(terms)
@@ -363,7 +418,7 @@ def _merge(x: NovikovElement, y: NovikovElement,
     if level != INFINITE:
         while out and out[-1][1] >= level:
             out.pop()
-    return NovikovElement._trusted(tuple(out), x._den, level)
+    return _reduced(out, scale, x._den, level)
 
 
 def divide_exact(x: NovikovElement, y: NovikovElement) -> NovikovElement:
@@ -374,6 +429,10 @@ def divide_exact(x: NovikovElement, y: NovikovElement) -> NovikovElement:
     division always proceeds.  The quotient is truncated at
     min(x.trunc, y.trunc) - valuation(y), the level below which its terms
     are reliable.
+
+    The division runs over the integers: with x = X / sx and y = Y / sy
+    for integer numerators X, Y over the two scales, x / y is sy / sx
+    times X / Y, and X / Y is found by pseudo-division.
 
     >>> to_text(divide_exact(from_text("T(3) - T(4)"), from_text("T(3)")))
     '1 - T(1)'
@@ -392,19 +451,23 @@ def divide_exact(x: NovikovElement, y: NovikovElement) -> NovikovElement:
     limit = INFINITE
     if out_level == INFINITE and x._terms:
         limit = x._terms[-1][1] - y_terms[-1][1]
-    # The remainder is a dict from exponent to coefficient with a heap of
+    # The remainder is a dict from exponent to numerator with a heap of
     # its exponents; entries cancelled to zero leave stale heap keys.
     # Terms at or above ``level`` have been dropped: each step lowers it
     # to y.trunc + (quotient exponent), the level of the subtracted
     # multiple of y.  Every exponent a step adds lies above the leading
     # one it cancels, so a popped exponent never comes back.
+    # The numerators lie over ``scale``: a step whose leading numerator
+    # yc does not divide first multiplies the remainder and ``scale`` by
+    # the smallest factor that makes it divide.  Each quotient term keeps
+    # the scale of its step until the end.
     remainder = {e: c for c, e in x._terms}
     heap = list(remainder)
     level = x._level
     y_level = y._level
-    monic = yc == 1
     negated_tail = [(-c, e) for c, e in y_terms[1:]]
-    quotient: list[_Term] = []
+    scale = 1
+    quotient: list[tuple[int, int, int]] = []
     while heap:
         rl = heapq.heappop(heap)
         rc = remainder.pop(rl, None)
@@ -418,8 +481,13 @@ def divide_exact(x: NovikovElement, y: NovikovElement) -> NovikovElement:
         if q_level > limit:
             raise PrecisionExhausted(
                 "quotient is an infinite series; set a finite truncation")
-        q = rc if monic else rc / yc
-        quotient.append((q, q_level))
+        q, r = divmod(rc, yc)
+        if r:
+            factor = abs(yc) // math.gcd(rc, yc)
+            scale *= factor
+            remainder = {e: c * factor for e, c in remainder.items()}
+            q = rc * factor // yc
+        quotient.append((q, q_level, scale))
         level = min(level, y_level + q_level)
         for c, e in negated_tail:
             e += q_level
@@ -435,7 +503,9 @@ def divide_exact(x: NovikovElement, y: NovikovElement) -> NovikovElement:
                     remainder[e] = value
                 else:
                     del remainder[e]
-    return NovikovElement._trusted(tuple(quotient), x._den, out_level)
+    y_scale = y._scale
+    return _reduced([(q * (scale // s) * y_scale, e) for q, e, s in quotient],
+                    x._scale * scale, x._den, out_level)
 
 
 def invert(x: NovikovElement) -> NovikovElement:

@@ -263,21 +263,43 @@ def _vertices(model: MomentModel) -> list[tuple[Fraction, ...]]:
     return sorted(points)
 
 
+def _blocks(model: MomentModel) -> list[tuple[list[int], MomentModel]]:
+    """The polytope as a product of blocks: two coordinates share a
+    block when some facet normal is nonzero in both.  Each block comes
+    with its coordinates and the model of its facets restricted to them;
+    the blocks of a ``product`` are its factors."""
+    label = list(range(model.dim))
+    for facet in model.facets:
+        joined = {label[i] for i, c in enumerate(facet.normal) if c}
+        label = [min(joined) if b in joined else b for b in label]
+    blocks = []
+    for root in sorted(set(label)):
+        coords = [i for i, b in enumerate(label) if b == root]
+        facets = [Facet(tuple(f.normal[i] for i in coords), f.offset, f.kind)
+                  for f in model.facets if any(f.normal[i] for i in coords)]
+        blocks.append((coords, MomentModel(len(coords), facets)))
+    return blocks
+
+
 def coordinate_intervals(model: MomentModel, cap=None
                          ) -> list[tuple[Fraction, Fraction]]:
     """Exact per-coordinate bounds of the polytope.
 
-    Directions in which the polytope recedes along a coordinate axis
-    (every normal component of one sign, as for cylinder factors) are
-    capped by the required ``cap`` argument.
+    Each coordinate's bounds are read off the vertices of its block (see
+    ``_blocks``), since the vertices of a product are the products of
+    its blocks' vertices.  Directions in which the polytope recedes
+    along a coordinate axis (every normal component of one sign, as for
+    cylinder factors) are capped by the required ``cap`` argument.
     """
-    vertices = _vertices(model)
-    if not vertices:
-        raise EmptyInterior("the polytope has no vertices")
-    intervals = []
-    for i in range(model.dim):
-        values = [v[i] for v in vertices]
-        lo, hi = min(values), max(values)
+    intervals: list = [None] * model.dim
+    for coords, block in _blocks(model):
+        vertices = _vertices(block)
+        if not vertices:
+            raise EmptyInterior("the polytope has no vertices")
+        for position, i in enumerate(coords):
+            values = [v[position] for v in vertices]
+            intervals[i] = (min(values), max(values))
+    for i, (lo, hi) in enumerate(intervals):
         if all(f.normal[i] >= 0 for f in model.facets):
             if cap is None:
                 raise ValueError(
@@ -288,7 +310,7 @@ def coordinate_intervals(model: MomentModel, cap=None
                 raise ValueError(
                     f"coordinate {i} is unbounded below; pass a cap")
             lo = min(lo, -Fraction(cap))
-        intervals.append((lo, hi))
+        intervals[i] = (lo, hi)
     return intervals
 
 

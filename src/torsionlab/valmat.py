@@ -28,7 +28,8 @@ from typing import Sequence
 
 from .errors import NotAComplex, PrecisionExhausted
 from .novikov import (NovikovElement, _common_denominator, _order,
-                      _rescaled, divide_exact, parse)
+                      _over_leading_coefficient, _rescaled, divide_exact,
+                      parse)
 from .rationals import INFINITE, Level, as_level
 
 
@@ -187,8 +188,8 @@ def _eliminate(matrix: NovikovMatrix, accumulate: bool):
     grid, the pivot valuations and, when ``accumulate``, the row and
     column transforms u and v as grids (None otherwise)."""
     work = [list(row) for row in matrix.entries]
-    # every entry is stored over this denominator; units and transforms
-    # are brought to it too, so no ring operation below rescales
+    # every entry is stored over this denominator; the transforms are
+    # brought to it too, so no ring operation below rescales
     den = _common_denominator(value for row in work for value in row)
     u = v = None
     if accumulate:
@@ -224,11 +225,9 @@ def _eliminate(matrix: NovikovMatrix, accumulate: bool):
 
         pivot = work[k][k]
         # normalize the leading coefficient to 1
-        coeff, _ = pivot.leading_term()
-        unit = _rescaled(NovikovElement.monomial(1 / coeff), den)
-        work[k] = [unit * value for value in work[k]]
         if accumulate:
-            u[k] = [unit * value for value in u[k]]
+            u[k] = _over_leading_coefficient(u[k], pivot)
+        work[k] = _over_leading_coefficient(work[k], pivot)
         pivot = work[k][k]
         pivots.append(pivot.valuation())
 
@@ -402,31 +401,64 @@ def torsion_threshold(decomposition: ModuleDecomposition) -> Level:
 
 # -- JSON codecs --------------------------------------------------------
 
-def matrix_from_json(data: dict, trunc: Level | None = None) -> NovikovMatrix:
+def _fields(data, where: str, names: tuple[str, ...]) -> None:
+    """Check that ``data`` is an object holding every field in ``names``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be an object with fields "
+                         f"{', '.join(names)}; got {type(data).__name__}")
+    for name in names:
+        if name not in data:
+            raise ValueError(f"{where} has no {name!r} field")
+
+
+def _field_level(data: dict, where: str) -> Level | None:
+    """The optional ``trunc`` field as a level."""
+    value = data.get("trunc")
+    if value is None:
+        return None
+    try:
+        return as_level(value)
+    except (ValueError, TypeError):
+        raise ValueError(f"{where} field 'trunc' is not a level (p/q or "
+                         f"inf): {value!r}") from None
+
+
+def matrix_from_json(data: dict, trunc: Level | None = None,
+                     where: str = "matrix JSON") -> NovikovMatrix:
+    """The matrix ``{"rows", "cols", "entries", "trunc"?}``; ``trunc``
+    overrides the file's level.  A missing or malformed field raises
+    ValueError naming it after ``where``."""
+    _fields(data, where, ("rows", "cols", "entries"))
     entries = data["entries"]
     if len(entries) != data["rows"] or any(
             len(row) != data["cols"] for row in entries):
-        raise ValueError("matrix JSON shape disagrees with entries")
-    level = data.get("trunc")
-    if trunc is not None:
-        level = trunc
-    matrix = NovikovMatrix(entries,
-                           as_level(level) if level is not None else None)
+        raise ValueError(f"{where} shape disagrees with entries")
+    level = trunc if trunc is not None else _field_level(data, where)
+    matrix = NovikovMatrix(entries, level)
     if matrix.rows == 0:
         return NovikovMatrix.zeros(data["rows"], data["cols"])
     return matrix
 
 
 def complex_from_json(data: dict, trunc: Level | None = None) -> ChainComplex:
-    level = trunc if trunc is not None else data.get("trunc")
-    matrices = []
+    """The complex ``{"ranks", "differentials", "trunc"?}``, each
+    differential a matrix object; ``trunc`` overrides the file's level,
+    which overrides each differential's own."""
+    _fields(data, "complex JSON", ("ranks", "differentials"))
+    level = trunc if trunc is not None \
+        else _field_level(data, "complex JSON")
     ranks = [int(r) for r in data["ranks"]]
-    for index, blob in enumerate(data["differentials"]):
+    blobs = data["differentials"]
+    if len(blobs) != max(len(ranks) - 1, 0):
+        raise ValueError("need exactly one differential per adjacent "
+                         "pair of degrees")
+    matrices = []
+    for index, blob in enumerate(blobs):
+        where = f"complex JSON differential {index}"
+        _fields(blob, where, ("rows", "cols"))
         if blob["rows"] == 0 or blob["cols"] == 0:
             matrix = NovikovMatrix.zeros(ranks[index + 1], ranks[index])
         else:
-            matrix = matrix_from_json(blob, as_level(level)
-                                      if level is not None else None)
+            matrix = matrix_from_json(blob, level, where)
         matrices.append(matrix)
     return ChainComplex(ranks, matrices)
-

@@ -215,6 +215,32 @@ def test_snf_rejects_zero_denominator_while_reading_matrix(capsys,
             "COEFF*T(p/q)" in err)
 
 
+@pytest.mark.parametrize("command, data, message", [
+    ("snf", {"rows": 1, "cols": 1}, "matrix JSON has no 'entries' field"),
+    ("snf", [["1"]], "matrix JSON must be an object with fields rows, "
+                     "cols, entries; got list"),
+    ("snf", {"rows": 1, "cols": 1, "entries": [["1"]], "trunc": "abc"},
+     "matrix JSON field 'trunc' is not a level (p/q or inf): 'abc'"),
+    ("decompose", {"ranks": [1, 1],
+                   "differentials": [{"rows": 1, "cols": 1}]},
+     "complex JSON differential 0 has no 'entries' field"),
+    ("decompose", {"ranks": [1],
+                   "differentials": [{"rows": 0, "cols": 1,
+                                      "entries": []}]},
+     "need exactly one differential per adjacent pair of degrees"),
+], ids=["no-entries", "top-level-array", "bad-trunc",
+        "differential-without-entries", "extra-differential"])
+def test_malformed_json_names_the_field_and_exits_2(capsys, tmp_path,
+                                                    command, data, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    flag = "--matrix" if command == "snf" else "--complex"
+    code, out, err = invoke(capsys, command, flag, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_missing_matrix_file_exits_2(capsys):
     code, _, err = invoke(capsys, "snf", "--matrix", "/no/such/file.json")
     assert code == 2

@@ -14,7 +14,13 @@ equators, a cylinder, a CP^2 centre, ``--trunc inf`` and a finite level
 above the threshold, the three polydisk modes and an extrapolation, three
 optimizer models) were written from the code that still read the toric
 answers off truncated Novikov elements, before they came from one table
-of facet areas and summed normals.
+of facet areas and summed normals.  The three wide-coefficient cases
+(a 4 x 4 matrix whose entries have coefficients over 3, 5, 7 and 12 with
+numerators up to 10^4 at truncation 6, the normal form of
+``1 - 1/3*T(1/2)`` at truncation 12, whose quotients carry 3^k, and a
+Koszul complex with non-unit coefficients) were written from the code
+whose coefficients were still Fractions, before they became integers
+over one denominator per element.
 ``python tests/golden_reports.py --check`` runs the same comparison
 without pytest and writes nothing.
 """

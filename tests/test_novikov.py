@@ -6,6 +6,7 @@ before the implementation existed; see the oracle comments inline.
 
 import copy
 import doctest
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -338,7 +339,7 @@ def test_elements_copy_and_pickle_as_equal_values(how):
         y = COPIES[how](x)
         assert y == x and hash(y) == hash(x)
         assert (y.terms, y.trunc) == (x.terms, x.trunc)
-        assert y._den == x._den
+        assert (y._den, y._scale) == (x._den, x._scale)
     with pytest.raises(AttributeError, match="immutable"):
         y._terms = ()
 
@@ -378,11 +379,16 @@ def outcome(compute):
 
 def is_canonical(x):
     exps = [l for _, l in x.terms]
+    numerators = [c for c, _ in x._terms]
     return (all(type(c) is Fraction and type(l) is Fraction and c != 0
                 for c, l in x.terms)
             and all(a < b for a, b in zip(exps, exps[1:]))
             and all(l < x.trunc for l in exps)
-            and (type(x.trunc) is Fraction or x.trunc == INFINITE))
+            and (type(x.trunc) is Fraction or x.trunc == INFINITE)
+            # numerators over the scale in lowest terms
+            and all(type(c) is int for c in numerators)
+            and type(x._scale) is int and x._scale > 0
+            and math.gcd(x._scale, *numerators) == 1)
 
 
 @given(elements(), elements())
@@ -497,3 +503,123 @@ def test_stored_denominator_is_invisible(x, factor):
     assert rescaled == x and hash(rescaled) == hash(x)
     assert (rescaled.terms, rescaled.trunc) == (x.terms, x.trunc)
     assert to_text(rescaled) == to_text(x)
+
+
+# -- wide coefficients -------------------------------------------------------
+#
+# Coefficients are stored as int numerators over one scale per element.
+# These draw coefficients over denominators up to 35 with numerators up
+# to 10^6, and pairs whose sum has integer coefficients (1/2 + 1/2), so
+# that sums, products and quotients must bring scales together and
+# reduce them again.
+
+WIDE_DENOMINATORS = (1, 2, 3, 5, 7, 12, 35)
+
+
+@st.composite
+def wide_coefficients(draw):
+    numerator = draw(st.integers(-10 ** 6, 10 ** 6).filter(bool))
+    return F(numerator, draw(st.sampled_from(WIDE_DENOMINATORS)))
+
+
+@st.composite
+def wide_elements(draw, trunc=mixed_levels):
+    terms = draw(st.lists(st.tuples(wide_coefficients(),
+                                    mixed_fractions(-3, 6)), max_size=4))
+    return NovikovElement(terms, draw(trunc))
+
+
+@st.composite
+def wide_pairs(draw):
+    """Two wide elements; in half the draws the second has, at each
+    exponent of the first, a coefficient that completes the first's to
+    a small integer, zero included."""
+    x = draw(wide_elements())
+    if draw(st.booleans()):
+        return x, draw(wide_elements())
+    whole = draw(st.lists(st.integers(-2, 2), min_size=len(x.terms),
+                          max_size=len(x.terms)))
+    y = NovikovElement([(k - c, e) for (c, e), k in zip(x.terms, whole)],
+                       draw(mixed_levels))
+    return x, y
+
+
+def test_a_sum_that_cancels_to_integers_reduces_its_scale():
+    x = nov("1/2 + 1/3*T(1) - 5/12*T(2)")
+    y = nov("1/2 + 2/3*T(1) + 5/12*T(2)")
+    total = x + y
+    assert to_text(total) == "1 + T(1)"
+    assert (total._scale, total._terms) == (1, ((1, 0), (1, 1)))
+    assert total == nov("1 + T(1)")
+
+
+@given(wide_pairs(), mixed_levels)
+def test_wide_coefficients_match_oracle(pair, level):
+    x, y = pair
+    cases = [
+        (lambda: x + y, lambda: ring_oracle.add(x, y)),
+        (lambda: x - y, lambda: ring_oracle.sub(x, y)),
+        (lambda: x * y, lambda: ring_oracle.mul(x, y)),
+        (lambda: -x, lambda: ring_oracle.neg(x)),
+        (lambda: x.retruncate(level),
+         lambda: ring_oracle.element(x.terms, min(x.trunc, level))),
+        (lambda: divide_exact(x, y), lambda: ring_oracle.divide_exact(x, y)),
+        (lambda: invert(x), lambda: ring_oracle.invert(x)),
+    ]
+    for compute, oracle in cases:
+        assert outcome(compute) == outcome(oracle)
+        try:
+            result = compute()
+        except (ZeroDivisionError, PrecisionExhausted):
+            continue
+        assert is_canonical(result), result
+
+
+@given(wide_elements(), wide_elements(trunc=st.just(INFINITE)))
+def test_wide_coefficient_multiples_divide_like_oracle(q, y):
+    x = q * y
+    assert (outcome(lambda: divide_exact(x, y))
+            == outcome(lambda: ring_oracle.divide_exact(x, y)))
+    if not y.is_zero():
+        assert divide_exact(x, y) == q
+
+
+@given(wide_pairs())
+def test_ring_results_are_the_values_their_text_gives(pair):
+    x, y = pair
+    results = [x + y, x - y, x * y, -x]
+    for compute in (lambda: divide_exact(x, y), lambda: invert(x)):
+        try:
+            results.append(compute())
+        except (ZeroDivisionError, PrecisionExhausted):
+            pass
+    for result in results:
+        parsed = from_text(to_text(result), result.trunc)
+        for value in [result] + [how(result) for how in COPIES.values()]:
+            assert value == parsed and parsed == value
+            assert hash(value) == hash(parsed)
+
+
+def test_normal_form_elimination_does_no_fraction_arithmetic(monkeypatch):
+    from torsionlab import valmat
+
+    m = valmat.NovikovMatrix(
+        [["1/2*T(1/4) + 3/5*T(5/4)", "7/3 - T(1)", "T(1/2) + 1/2*T(3/4)",
+          "2"],
+         ["0", "3 - 1/7*T(1/4) + T(2)", "1/2 + 3*T(5/4)", "-2/3*T(1/4)"],
+         ["-T(3/2) + 5/12*T(7/4)", "-1 + 1/2*T(3/4)", "2 + 3/35*T(5/4)",
+          "1/2*T(1/4) - T(9/4)"],
+         ["1/2*T(5/4) + 3*T(2)", "-T(1/2)", "1 + 1/2*T(1/4)",
+          "-2 + 1/2*T(1)"]], F(6))
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__neg__"):
+        def counted(*args, _name=name, _original=getattr(Fraction, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(Fraction, name, counted)
+    form = valmat.smith_normal_form(m)
+    monkeypatch.undo()
+    assert calls == []
+    assert form.rank == 4
+    assert all(d.leading_term()[0] == 1 for d in form.diagonal.diagonal())

@@ -1,5 +1,6 @@
 """Toric fiber models: disk enumeration, contraction complexes, thresholds."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszul import koszul_complex
+from torsionlab import toric
 from torsionlab.errors import EmptyInterior, FiberOnBoundary
 from torsionlab.novikov import NovikovElement, from_text
 from torsionlab.rationals import INFINITE, is_infinite
@@ -337,6 +339,107 @@ def test_intervals_of_cylinder_need_cap():
         coordinate_intervals(model)
     assert coordinate_intervals(model, cap=4) == [
         (F(0), F(4)), (F(0), F(1))]
+
+
+def _det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return F(1)
+    return sum((-1) ** j * rows[0][j]
+               * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j in range(len(rows)) if rows[0][j])
+
+
+def brute_force_intervals(model, cap=None):
+    """Per-coordinate bounds from the vertices of the whole polytope:
+    every choice of ``dim`` facets with independent normals, solved by
+    Cramer's rule and kept when no facet is violated.  None when there
+    is no vertex."""
+    n = model.dim
+    vertices = []
+    for subset in itertools.combinations(model.facets, n):
+        rows = [[F(c) for c in f.normal] for f in subset]
+        det = _det(rows)
+        if det == 0:
+            continue
+        point = [_det([row[:i] + [f.offset] + row[i + 1:]
+                       for row, f in zip(rows, subset)]) / det
+                 for i in range(n)]
+        if all(s >= 0 for s in model.slacks(point)):
+            vertices.append(point)
+    if not vertices:
+        return None
+    intervals = []
+    for i in range(n):
+        lo = min(v[i] for v in vertices)
+        hi = max(v[i] for v in vertices)
+        if all(f.normal[i] >= 0 for f in model.facets):
+            hi = max(hi, F(cap))
+        if all(f.normal[i] <= 0 for f in model.facets):
+            lo = min(lo, -F(cap))
+        intervals.append((lo, hi))
+    return intervals
+
+
+def facet_model(dim, facets):
+    return MomentModel(dim, tuple(Facet(n, F(o)) for n, o in facets))
+
+
+INTERVAL_MODELS = {
+    "s2-x-cp2": (product(sphere_factor(F(3, 2)), projective_factor(2, 10)),
+                 None),
+    "cp1-x-cp2-x-s2": (product(projective_factor(1, 2),
+                               projective_factor(2, 3), sphere_factor(1)),
+                       None),
+    "cp3-x-s2": (product(projective_factor(3, F(5, 2)),
+                         sphere_factor(F(1, 2))), None),
+    "cylinder-x-s2-x-cylinder": (product(cylinder_factor(), sphere_factor(1),
+                                         cylinder_factor()), 4),
+    # a pentagon in (u0, u1) and an interval in u2
+    "pentagon-x-interval": (facet_model(3, [
+        ((1, 0, 0), 0), ((0, 1, 0), 0), ((-1, 0, 0), -3), ((0, -1, 0), -2),
+        ((-1, -1, 0), -4), ((0, 0, 1), 1), ((0, 0, -1), -3)]), None),
+    # one facet joins u0 and u2, so the blocks are {0, 2} and {1}
+    "simplex-in-u0-u2-x-interval": (facet_model(3, [
+        ((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, 0, -1), -2),
+        ((0, -1, 0), -1)]), None),
+    # a triangle with a sheared facet, all three coordinates in one block
+    "coupled-3d": (facet_model(3, [
+        ((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, 0), -2),
+        ((0, -1, -1), -3), ((-1, 0, -2), -5)]), None),
+    # the second block is empty: u1 >= 2 and u1 <= 1
+    "empty-block": (facet_model(2, [
+        ((1, 0), 0), ((-1, 0), -1), ((0, 1), 2), ((0, -1), -1)]), None),
+}
+
+
+@pytest.mark.parametrize("name", INTERVAL_MODELS)
+def test_intervals_match_brute_force_over_the_whole_polytope(name):
+    model, cap = INTERVAL_MODELS[name]
+    expected = brute_force_intervals(model, cap)
+    if expected is None:
+        with pytest.raises(EmptyInterior):
+            coordinate_intervals(model, cap)
+    else:
+        assert coordinate_intervals(model, cap) == expected
+
+
+def test_vertices_are_enumerated_one_factor_at_a_time(monkeypatch):
+    # S2(1)^10 is ten blocks of two facets, so two systems each; one
+    # enumeration over the whole polytope solves C(20, 10) = 184,756
+    calls = []
+    solve = toric._solve_square
+
+    def counted(rows, rhs):
+        calls.append(len(rows))
+        if len(calls) > 1000:
+            raise AssertionError("more than 1,000 systems solved")
+        return solve(rows, rhs)
+    monkeypatch.setattr(toric, "_solve_square", counted)
+    model = product(*[sphere_factor(1)] * 10)
+    result = optimize_threshold(model, resolution=2, refine_rounds=0)
+    assert calls == [1] * 20
+    assert result.fiber == (F(1, 2),) * 10 and is_infinite(result.value)
 
 
 def test_optimize_equator_short_circuit():
