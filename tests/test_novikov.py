@@ -468,8 +468,9 @@ def mixed_elements(draw, trunc=mixed_levels):
     return NovikovElement(terms, draw(trunc))
 
 
-@given(mixed_elements(), mixed_elements(), mixed_levels)
-def test_mixed_denominators_match_oracle(x, y, level):
+def assert_ops_match_oracle(x, y, level):
+    """Every ring operation on x, y (and retruncation at ``level``)
+    gives the oracle's outcome, and a canonical result."""
     cases = [
         (lambda: x + y, lambda: ring_oracle.add(x, y)),
         (lambda: x - y, lambda: ring_oracle.sub(x, y)),
@@ -489,11 +490,22 @@ def test_mixed_denominators_match_oracle(x, y, level):
         assert is_canonical(result), result
 
 
-@given(mixed_elements(), mixed_elements(trunc=st.just(INFINITE)))
-def test_mixed_denominator_multiples_divide_like_oracle(q, y):
+@given(mixed_elements(), mixed_elements(), mixed_levels)
+def test_mixed_denominators_match_oracle(x, y, level):
+    assert_ops_match_oracle(x, y, level)
+
+
+def assert_multiple_divides_like_oracle(q, y):
     x = q * y
     assert (outcome(lambda: divide_exact(x, y))
             == outcome(lambda: ring_oracle.divide_exact(x, y)))
+    if not y.is_zero():
+        assert divide_exact(x, y) == q
+
+
+@given(mixed_elements(), mixed_elements(trunc=st.just(INFINITE)))
+def test_mixed_denominator_multiples_divide_like_oracle(q, y):
+    assert_multiple_divides_like_oracle(q, y)
 
 
 @given(mixed_elements(), st.sampled_from(DENOMINATORS[1:]))
@@ -555,33 +567,12 @@ def test_a_sum_that_cancels_to_integers_reduces_its_scale():
 
 @given(wide_pairs(), mixed_levels)
 def test_wide_coefficients_match_oracle(pair, level):
-    x, y = pair
-    cases = [
-        (lambda: x + y, lambda: ring_oracle.add(x, y)),
-        (lambda: x - y, lambda: ring_oracle.sub(x, y)),
-        (lambda: x * y, lambda: ring_oracle.mul(x, y)),
-        (lambda: -x, lambda: ring_oracle.neg(x)),
-        (lambda: x.retruncate(level),
-         lambda: ring_oracle.element(x.terms, min(x.trunc, level))),
-        (lambda: divide_exact(x, y), lambda: ring_oracle.divide_exact(x, y)),
-        (lambda: invert(x), lambda: ring_oracle.invert(x)),
-    ]
-    for compute, oracle in cases:
-        assert outcome(compute) == outcome(oracle)
-        try:
-            result = compute()
-        except (ZeroDivisionError, PrecisionExhausted):
-            continue
-        assert is_canonical(result), result
+    assert_ops_match_oracle(*pair, level)
 
 
 @given(wide_elements(), wide_elements(trunc=st.just(INFINITE)))
 def test_wide_coefficient_multiples_divide_like_oracle(q, y):
-    x = q * y
-    assert (outcome(lambda: divide_exact(x, y))
-            == outcome(lambda: ring_oracle.divide_exact(x, y)))
-    if not y.is_zero():
-        assert divide_exact(x, y) == q
+    assert_multiple_divides_like_oracle(q, y)
 
 
 @given(wide_pairs())
