@@ -13,7 +13,7 @@ from .polydisk import MODES, PolydiskSpec, polydisk_bound
 from .rationals import INFINITE, as_level, format_level, is_infinite, rational
 from .toric import (MomentModel, ThresholdSearch, boundary_covector,
                     cylinder_factor, facet_areas, floer_cohomology,
-                    model_from_factors, model_from_json, model_to_json,
+                    model_from_factors, model_from_json,
                     optimize_threshold, potential, product,
                     projective_factor, sphere_factor, torsion_threshold_at)
 from .valmat import (ChainComplex, ModuleDecomposition, NovikovMatrix,
@@ -56,7 +56,6 @@ __all__ = [
     "is_infinite",
     "model_from_factors",
     "model_from_json",
-    "model_to_json",
     "optimize_threshold",
     "parse",
     "polydisk_bound",

@@ -24,7 +24,7 @@ from .novikov import to_text
 from .polydisk import MODES, PolydiskSpec, polydisk_bound
 from .rationals import as_level, format_level, is_infinite, rational
 from .toric import (boundary_covector, cylinder_factor, facet_areas,
-                    floer_cohomology, model_from_factors, model_from_json,
+                    floer_cohomology, model_from_json,
                     optimize_threshold, potential, product,
                     projective_factor, sphere_factor)
 from .valmat import (complex_from_json, decompose, b_count,
@@ -118,12 +118,25 @@ def _text_lines(key: str, value, indent: str = "") -> list[str]:
     return [f"{indent}{key}: {_scalar(value)}"]
 
 
+def _number(text, flag: str, level: bool = False):
+    """The value of a rational flag, or of a level (p/q or inf) when
+    ``level``; None when the flag is absent.  A malformed value raises
+    ValueError naming the flag."""
+    if text is None:
+        return None
+    try:
+        return as_level(text) if level else rational(text)
+    except (ValueError, ZeroDivisionError):
+        kind = "a level p/q or inf" if level else "a rational p/q"
+        raise ValueError(f"{flag} needs {kind}; got {text!r}") from None
+
+
 def _parse_trunc(text):
-    return None if text is None else as_level(text)
+    return _number(text, "--trunc", level=True)
 
 
 def _parse_fiber(text: str):
-    coords = [rational(tok.strip()) for tok in text.split(",")
+    coords = [_number(tok.strip(), "--fiber") for tok in text.split(",")
               if tok.strip()]
     if not coords:
         raise ValueError("the fiber needs at least one coordinate")
@@ -134,11 +147,16 @@ def _inline_model(text: str):
     factors = []
     for token in text.split("x"):
         parts = token.strip().split(":")
+        where = f"--model factor {token.strip()!r}"
         if parts[0] == "sphere" and len(parts) == 2:
-            factors.append(sphere_factor(rational(parts[1])))
+            factors.append(sphere_factor(_number(parts[1], where)))
         elif parts[0] == "cp" and len(parts) == 3:
-            factors.append(projective_factor(int(parts[1]),
-                                             rational(parts[2])))
+            try:
+                k = int(parts[1])
+            except ValueError:
+                raise ValueError(f"{where} needs an integer k; "
+                                 f"got {parts[1]!r}") from None
+            factors.append(projective_factor(k, _number(parts[2], where)))
         elif parts[0] == "cylinder" and len(parts) == 1:
             factors.append(cylinder_factor())
         else:
@@ -150,10 +168,7 @@ def _inline_model(text: str):
 def _load_model(text: str):
     if os.path.isfile(text):
         with open(text, encoding="utf-8") as handle:
-            data = json.load(handle)
-        if isinstance(data, dict) and "product" in data:
-            return model_from_factors(data["product"])
-        return model_from_json(data)
+            return model_from_json(json.load(handle))
     return _inline_model(text)
 
 
@@ -182,12 +197,12 @@ def _cmd_torsion(args) -> tuple[Report, int]:
 def _cmd_polydisk(args) -> tuple[Report, int]:
     spec = PolydiskSpec(
         mode=args.mode,
-        S=rational(args.S),
+        S=_number(args.S, "--S"),
         n=args.n,
         k=args.k,
-        eps=None if args.eps is None else rational(args.eps),
-        eps_prime=None if args.eps2 is None else rational(args.eps2),
-        lam=None if args.lam is None else rational(args.lam),
+        eps=_number(args.eps, "--eps"),
+        eps_prime=_number(args.eps2, "--eps2"),
+        lam=_number(args.lam, "--lambda"),
     )
     data = polydisk_bound(spec, allow_extrapolation=args.extrapolate,
                           trunc=_parse_trunc(args.trunc))
@@ -234,7 +249,7 @@ def _cmd_decompose(args) -> tuple[Report, int]:
                            for v in decomposition.torsion])
     report.add("threshold", exact_number(threshold))
     if args.hofer is not None:
-        norm = rational(args.hofer)
+        norm = _number(args.hofer, "--hofer")
         report.add("hofer_norm", str(norm))
         report.add("surviving_torsion", b_count(decomposition, norm))
         report.add("intersection_bound",
@@ -244,7 +259,7 @@ def _cmd_decompose(args) -> tuple[Report, int]:
 
 def _cmd_optimize(args) -> tuple[Report, int]:
     model = _load_model(args.model)
-    cap = None if args.cap is None else rational(args.cap)
+    cap = _number(args.cap, "--cap")
     search = optimize_threshold(model, resolution=args.resolution, cap=cap,
                                 refine_rounds=args.refine,
                                 trunc=_parse_trunc(args.trunc))

@@ -26,15 +26,7 @@ from typing import Sequence
 
 from .errors import ConstraintViolated
 from .rationals import Level, format_level
-from .toric import (
-    MomentModel,
-    cylinder_factor,
-    model_to_json,
-    product,
-    projective_factor,
-    sphere_factor,
-    torsion_threshold_at,
-)
+from .toric import MomentModel, model_from_factors, torsion_threshold_at
 
 MODES = ("1.4", "1.5", "1.3")
 
@@ -125,21 +117,22 @@ def check_constraints(spec: PolydiskSpec,
 
 
 def build_ambient(spec: PolydiskSpec, allow_extrapolation: bool = False
-                  ) -> tuple[MomentModel, tuple[Fraction, ...], list[str]]:
-    """Ambient model, fiber point, and the containment bookkeeping."""
+                  ) -> tuple[MomentModel, dict, tuple[Fraction, ...],
+                             list[str]]:
+    """Ambient model, its ``{"product": [...]}`` factor list, fiber
+    point, and the containment bookkeeping."""
     check_constraints(spec, allow_extrapolation)
     S = spec.S
     if spec.mode == "1.3":
-        model = product(cylinder_factor(), sphere_factor(1))
+        factors = [{"cylinder": True}, {"sphere": "1"}]
         fiber = (S, Fraction(1, 2))
         facts = [
             f"the torus is S^1({S}) x equator inside C x S^2(1)",
         ]
-        return model, fiber, facts
-    half = (1 + spec.eps_prime) / 2
-    if spec.mode == "1.4":
-        model = product(sphere_factor(1 + spec.eps_prime),
-                        *([sphere_factor(spec.lam)] * (spec.n - 1)))
+    elif spec.mode == "1.4":
+        half = (1 + spec.eps_prime) / 2
+        factors = ([{"sphere": str(1 + spec.eps_prime)}]
+                   + [{"sphere": str(spec.lam)}] * (spec.n - 1))
         fiber = (half,) + (S,) * (spec.n - 1)
         facts = [
             f"the fiber torus lies on the boundary of "
@@ -149,21 +142,22 @@ def build_ambient(spec: PolydiskSpec, allow_extrapolation: bool = False
             f"eps = {spec.eps} < eps' = {spec.eps_prime} and "
             f"lambda = {spec.lam} > {2 * S}",
         ]
-        return model, fiber, facts
-    spheres = [sphere_factor(1 + spec.eps_prime)] * (spec.n - spec.k)
-    model = product(*spheres, projective_factor(spec.k, spec.lam))
-    fiber = (half,) * (spec.n - spec.k) + (S,) * spec.k
-    facts = [
-        f"the fiber torus lies in D^2(1)^{spec.n - spec.k} x the closed "
-        f"ball B^{2 * spec.k}({spec.k * S}): (1+eps')/2 = {half} < 1 and "
-        f"the simplex coordinates sum to {spec.k * S}",
-        f"that product lies in D^2(1+{spec.eps})^{spec.n - spec.k} "
-        f"x C^{spec.k}",
-        f"the model contains it: eps = {spec.eps} < eps' = "
-        f"{spec.eps_prime} and lambda = {spec.lam} > {(spec.k + 1) * S} "
-        f"keeps the remaining facet area above {S}",
-    ]
-    return model, fiber, facts
+    else:
+        half = (1 + spec.eps_prime) / 2
+        factors = ([{"sphere": str(1 + spec.eps_prime)}] * (spec.n - spec.k)
+                   + [{"cp": {"k": spec.k, "lambda": str(spec.lam)}}])
+        fiber = (half,) * (spec.n - spec.k) + (S,) * spec.k
+        facts = [
+            f"the fiber torus lies in D^2(1)^{spec.n - spec.k} x the closed "
+            f"ball B^{2 * spec.k}({spec.k * S}): (1+eps')/2 = {half} < 1 and "
+            f"the simplex coordinates sum to {spec.k * S}",
+            f"that product lies in D^2(1+{spec.eps})^{spec.n - spec.k} "
+            f"x C^{spec.k}",
+            f"the model contains it: eps = {spec.eps} < eps' = "
+            f"{spec.eps_prime} and lambda = {spec.lam} > {(spec.k + 1) * S} "
+            f"keeps the remaining facet area above {S}",
+        ]
+    return model_from_factors(factors), {"product": factors}, fiber, facts
 
 
 def _claim(spec: PolydiskSpec, bound: Level) -> str:
@@ -185,7 +179,7 @@ def polydisk_bound(spec: PolydiskSpec, allow_extrapolation: bool = False,
                    trunc: Level | None = None) -> dict:
     """Full report: computed threshold, certification status, constraint
     table, containment facts, and the ambient data."""
-    model, fiber, facts = build_ambient(spec, allow_extrapolation)
+    model, listing, fiber, facts = build_ambient(spec, allow_extrapolation)
     table = constraint_table(spec)
     bound = torsion_threshold_at(model, fiber, trunc)
     certified = all(row["ok"] for row in table)
@@ -204,6 +198,6 @@ def polydisk_bound(spec: PolydiskSpec, allow_extrapolation: bool = False,
         "constraints": [{"name": row["name"], "ok": row["ok"]}
                         for row in table],
         "containments": facts,
-        "model": model_to_json(model),
+        "model": listing,
         "fiber": [str(x) for x in fiber],
     }

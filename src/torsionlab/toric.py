@@ -1,11 +1,15 @@
 """Torus fibers of toric models: disk potentials and torsion thresholds.
 
-A moment model is a rational polytope given by facet inequalities
-<normal, u> >= offset with primitive integer normals.  Product models for
-spheres, projective spaces, and the open cylinder factor are built from
-named constructors.  A fiber over an interior point u carries one
-holomorphic disk class per facet, with boundary class the facet normal
-and symplectic area the facet distance
+A moment model is a product of factors.  Each factor is a rational
+polytope in its own coordinates, given by facet inequalities
+<normal, u> >= offset with primitive integer normals; the product's
+coordinates and facets are the factors' in order.  Spheres, projective
+spaces and the open cylinder are named one-factor models, and a
+facet-JSON model is a single general factor.
+
+A fiber over an interior point u carries one holomorphic disk class per
+facet, with boundary class the facet normal and symplectic area the
+facet distance
 
     area_j(u) = <normal_j, u> - offset_j > 0.
 
@@ -42,44 +46,34 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyInterior, FiberOnBoundary
 from .novikov import NovikovElement
 from .rationals import INFINITE, Level, as_level, is_infinite
-from .valmat import ModuleDecomposition
+from .valmat import ModuleDecomposition, _fields, _is_count
 
 
 @dataclass(frozen=True)
 class Facet:
-    """Half-space <normal, u> >= offset.
-
-    kind "closed" marks facets of a compact factor; "open" marks the
-    single facet of a cylinder factor, whose opposite side runs off to
-    infinity.  Both kinds bound one disk class; the kind only matters
-    for boundedness bookkeeping.
-    """
+    """Half-space <normal, u> >= offset."""
 
     normal: tuple[int, ...]
     offset: Fraction
-    kind: str = "closed"
 
     def __post_init__(self):
         object.__setattr__(self, "normal", tuple(int(c) for c in self.normal))
         object.__setattr__(self, "offset", Fraction(self.offset))
-        if self.kind not in ("closed", "open"):
-            raise ValueError(f"facet kind must be closed or open, got {self.kind!r}")
         if not self.normal or math.gcd(*(abs(c) for c in self.normal)) != 1:
             raise ValueError(f"facet normal {self.normal} is not primitive")
 
 
 @dataclass(frozen=True)
-class MomentModel:
-    """Rational polytope with named factor structure for reporting."""
+class Factor:
+    """Rational polytope in its own coordinates."""
 
     dim: int
     facets: tuple[Facet, ...]
-    description: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "facets", tuple(self.facets))
@@ -87,13 +81,39 @@ class MomentModel:
             if len(facet.normal) != self.dim:
                 raise ValueError("facet dimension mismatch")
 
+    def slacks(self, point: Sequence[Fraction]) -> list[Fraction]:
+        return [sum(n * x for n, x in zip(facet.normal, point)) - facet.offset
+                for facet in self.facets]
+
+
+@dataclass(frozen=True)
+class MomentModel:
+    """Product of factors, named for reporting."""
+
+    factors: tuple[Factor, ...]
+    description: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "factors", tuple(self.factors))
+
+    @property
+    def dim(self) -> int:
+        return sum(factor.dim for factor in self.factors)
+
+    def _placed(self) -> Iterator[tuple[int, Factor]]:
+        """Each factor with the product coordinate of its first axis."""
+        start = 0
+        for factor in self.factors:
+            yield start, factor
+            start += factor.dim
+
     def slacks(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
         point = tuple(Fraction(x) for x in point)
         if len(point) != self.dim:
             raise ValueError(f"point has dimension {len(point)}, model {self.dim}")
         return tuple(
-            sum(n * x for n, x in zip(facet.normal, point)) - facet.offset
-            for facet in self.facets)
+            slack for start, factor in self._placed()
+            for slack in factor.slacks(point[start:start + factor.dim]))
 
     def is_interior(self, point: Sequence[Fraction]) -> bool:
         return all(s > 0 for s in self.slacks(point))
@@ -104,11 +124,8 @@ def sphere_factor(area) -> MomentModel:
     area = Fraction(area)
     if area <= 0:
         raise ValueError("sphere area must be positive")
-    return MomentModel(
-        dim=1,
-        facets=(Facet((1,), Fraction(0)), Facet((-1,), -area)),
-        description=f"S2({area})",
-    )
+    return MomentModel((Factor(1, (Facet((1,), 0), Facet((-1,), -area))),),
+                       f"S2({area})")
 
 
 def projective_factor(k: int, size) -> MomentModel:
@@ -118,38 +135,23 @@ def projective_factor(k: int, size) -> MomentModel:
     k = int(k)
     if k < 1 or size <= 0:
         raise ValueError("projective factor needs k >= 1 and positive size")
-    unit = [0] * k
-    facets = []
-    for i in range(k):
-        normal = unit.copy()
-        normal[i] = 1
-        facets.append(Facet(tuple(normal), Fraction(0)))
+    facets = [Facet(tuple(int(i == j) for j in range(k)), 0) for i in range(k)]
     facets.append(Facet((-1,) * k, -size))
-    return MomentModel(dim=k, facets=tuple(facets),
-                       description=f"CP{k}({size})")
+    return MomentModel((Factor(k, facets),), f"CP{k}({size})")
 
 
 def cylinder_factor() -> MomentModel:
     """Open complex-line factor: half line u >= 0, a single facet whose
-    circle of radius-squared u bounds one disk of area u."""
-    return MomentModel(dim=1, facets=(Facet((1,), Fraction(0), "open"),),
-                       description="C")
+    circle of radius-squared u bounds one disk of area u; the polytope
+    recedes to infinity on the other side."""
+    return MomentModel((Factor(1, (Facet((1,), 0),)),), "C")
 
 
 def product(*models: MomentModel) -> MomentModel:
-    """Product model: facet normals padded into the joint coordinates."""
-    total_dim = sum(m.dim for m in models)
-    facets = []
-    offset_dim = 0
-    for model in models:
-        for facet in model.facets:
-            normal = (0,) * offset_dim + facet.normal \
-                + (0,) * (total_dim - offset_dim - model.dim)
-            facets.append(Facet(normal, facet.offset, facet.kind))
-        offset_dim += model.dim
-    description = " x ".join(m.description or "?" for m in models)
-    return MomentModel(dim=total_dim, facets=tuple(facets),
-                       description=description)
+    """Product model: the factors of each model, in order."""
+    return MomentModel(
+        tuple(factor for model in models for factor in model.factors),
+        " x ".join(m.description or "?" for m in models))
 
 
 def facet_areas(model: MomentModel, fiber: Sequence) -> tuple[Fraction, ...]:
@@ -166,15 +168,18 @@ def facet_areas(model: MomentModel, fiber: Sequence) -> tuple[Fraction, ...]:
 
 
 def _area_normals(model: MomentModel, fiber: Sequence
-                  ) -> dict[Fraction, list[int]]:
-    """Each facet area at the fiber, mapped to the summed normals of the
-    facets with that area: the coefficient of T^area in every covector
-    component."""
-    table: dict[Fraction, list[int]] = {}
-    for facet, area in zip(model.facets, facet_areas(model, fiber)):
-        summed = table.setdefault(area, [0] * model.dim)
-        for i, c in enumerate(facet.normal):
-            summed[i] += c
+                  ) -> dict[Fraction, dict[int, int]]:
+    """Each facet area at the fiber, mapped to the summed normal of the
+    facets with that area, by product coordinate: the coefficient of
+    T^area in every covector component."""
+    placed = ((start, facet) for start, factor in model._placed()
+              for facet in factor.facets)
+    table: dict[Fraction, dict[int, int]] = {}
+    for (start, facet), area in zip(placed, facet_areas(model, fiber)):
+        summed = table.setdefault(area, {})
+        for i, c in enumerate(facet.normal, start):
+            if c:
+                summed[i] = summed.get(i, 0) + c
     return table
 
 
@@ -192,12 +197,13 @@ def boundary_covector(model: MomentModel, fiber: Sequence,
     Components cancel exactly when facet areas balance, e.g. over the
     equator of a sphere factor.
     """
-    table = _area_normals(model, fiber)
     level = INFINITE if trunc is None else as_level(trunc)
-    return tuple(
-        NovikovElement(((normal[i], area) for area, normal in table.items()
-                        if normal[i]), level)
-        for i in range(model.dim))
+    terms: list[list] = [[] for _ in range(model.dim)]
+    for area, normal in _area_normals(model, fiber).items():
+        for i, c in normal.items():
+            if c:
+                terms[i].append((c, area))
+    return tuple(NovikovElement(component, level) for component in terms)
 
 
 def floer_cohomology(model: MomentModel, fiber: Sequence,
@@ -224,7 +230,7 @@ def torsion_threshold_at(model: MomentModel, fiber: Sequence,
     covector valuation), +inf when there is none."""
     level = INFINITE if trunc is None else as_level(trunc)
     return min((area for area, normal in _area_normals(model, fiber).items()
-                if area < level and any(normal)), default=INFINITE)
+                if area < level and any(normal.values())), default=INFINITE)
 
 
 # -- optimization over the fiber location --------------------------------
@@ -249,35 +255,34 @@ def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]
     return [work[r][n] for r in range(n)]
 
 
-def _vertices(model: MomentModel) -> list[tuple[Fraction, ...]]:
+def _vertices(factor: Factor) -> list[tuple[Fraction, ...]]:
     points = set()
-    facets = model.facets
-    for subset in itertools.combinations(range(len(facets)), model.dim):
+    facets = factor.facets
+    for subset in itertools.combinations(range(len(facets)), factor.dim):
         rows = [list(map(Fraction, facets[i].normal)) for i in subset]
         rhs = [facets[i].offset for i in subset]
         solution = _solve_square(rows, rhs)
         if solution is None:
             continue
-        if all(s >= 0 for s in model.slacks(solution)):
+        if all(s >= 0 for s in factor.slacks(solution)):
             points.add(tuple(solution))
     return sorted(points)
 
 
-def _blocks(model: MomentModel) -> list[tuple[list[int], MomentModel]]:
-    """The polytope as a product of blocks: two coordinates share a
-    block when some facet normal is nonzero in both.  Each block comes
-    with its coordinates and the model of its facets restricted to them;
-    the blocks of a ``product`` are its factors."""
-    label = list(range(model.dim))
-    for facet in model.facets:
+def _blocks(factor: Factor) -> list[tuple[list[int], Factor]]:
+    """The factor as a product of blocks: two coordinates share a block
+    when some facet normal is nonzero in both.  Each block comes with
+    its coordinates and its facets restricted to them."""
+    label = list(range(factor.dim))
+    for facet in factor.facets:
         joined = {label[i] for i, c in enumerate(facet.normal) if c}
         label = [min(joined) if b in joined else b for b in label]
     blocks = []
     for root in sorted(set(label)):
         coords = [i for i, b in enumerate(label) if b == root]
-        facets = [Facet(tuple(f.normal[i] for i in coords), f.offset, f.kind)
-                  for f in model.facets if any(f.normal[i] for i in coords)]
-        blocks.append((coords, MomentModel(len(coords), facets)))
+        facets = [Facet(tuple(f.normal[i] for i in coords), f.offset)
+                  for f in factor.facets if any(f.normal[i] for i in coords)]
+        blocks.append((coords, Factor(len(coords), facets)))
     return blocks
 
 
@@ -286,31 +291,37 @@ def coordinate_intervals(model: MomentModel, cap=None
     """Exact per-coordinate bounds of the polytope.
 
     Each coordinate's bounds are read off the vertices of its block (see
-    ``_blocks``), since the vertices of a product are the products of
-    its blocks' vertices.  Directions in which the polytope recedes
-    along a coordinate axis (every normal component of one sign, as for
-    cylinder factors) are capped by the required ``cap`` argument.
+    ``_blocks``) within its factor, since the vertices of a product are
+    the products of its blocks' vertices.  Directions in which the
+    polytope recedes along a coordinate axis (every normal component of
+    one sign, as for cylinder factors) are capped by the required
+    ``cap`` argument.
     """
-    intervals: list = [None] * model.dim
-    for coords, block in _blocks(model):
-        vertices = _vertices(block)
-        if not vertices:
-            raise EmptyInterior("the polytope has no vertices")
-        for position, i in enumerate(coords):
-            values = [v[position] for v in vertices]
-            intervals[i] = (min(values), max(values))
-    for i, (lo, hi) in enumerate(intervals):
-        if all(f.normal[i] >= 0 for f in model.facets):
-            if cap is None:
-                raise ValueError(
-                    f"coordinate {i} is unbounded above; pass a cap")
-            hi = max(hi, Fraction(cap))
-        if all(f.normal[i] <= 0 for f in model.facets):
-            if cap is None:
-                raise ValueError(
-                    f"coordinate {i} is unbounded below; pass a cap")
-            lo = min(lo, -Fraction(cap))
-        intervals[i] = (lo, hi)
+    intervals: list = []
+    for factor in model.factors:
+        bounds: list = [None] * factor.dim
+        for coords, block in _blocks(factor):
+            vertices = _vertices(block)
+            if not vertices:
+                raise EmptyInterior("the polytope has no vertices")
+            for position, i in enumerate(coords):
+                values = [v[position] for v in vertices]
+                bounds[i] = (min(values), max(values))
+        intervals += bounds
+    for start, factor in model._placed():
+        for i in range(factor.dim):
+            lo, hi = intervals[start + i]
+            if all(f.normal[i] >= 0 for f in factor.facets):
+                if cap is None:
+                    raise ValueError(f"coordinate {start + i} is unbounded "
+                                     "above; pass a cap")
+                hi = max(hi, Fraction(cap))
+            if all(f.normal[i] <= 0 for f in factor.facets):
+                if cap is None:
+                    raise ValueError(f"coordinate {start + i} is unbounded "
+                                     "below; pass a cap")
+                lo = min(lo, -Fraction(cap))
+            intervals[start + i] = (lo, hi)
     return intervals
 
 
@@ -382,25 +393,41 @@ def optimize_threshold(model: MomentModel, resolution: int = 8,
 
 # -- JSON codec -----------------------------------------------------------
 
-def model_to_json(model: MomentModel) -> dict:
-    return {
-        "dim": model.dim,
-        "facets": [
-            {"normal": list(f.normal), "offset": str(f.offset),
-             "kind": f.kind}
-            for f in model.facets
-        ],
-        "description": model.description,
-    }
+def _read(where: str, build):
+    """``build()``, or a ValueError naming ``where`` when the values it
+    reads are malformed."""
+    try:
+        return build()
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def model_from_json(data: dict) -> MomentModel:
-    facets = tuple(
-        Facet(tuple(entry["normal"]), Fraction(entry["offset"]),
-              entry.get("kind", "closed"))
-        for entry in data["facets"])
-    return MomentModel(dim=int(data["dim"]), facets=facets,
-                       description=data.get("description", ""))
+    """A model file: the factor list ``{"product": [...]}`` (see
+    ``model_from_factors``), or one general factor ``{"dim", "facets",
+    "description"?}`` whose facets ``{"normal", "offset"}`` keep the
+    file's order.  A missing or malformed field raises ValueError
+    naming it."""
+    if isinstance(data, dict) and "product" in data:
+        if not isinstance(data["product"], list):
+            raise ValueError("model JSON field 'product' must be a list; "
+                             f"got {type(data['product']).__name__}")
+        return model_from_factors(data["product"])
+    _fields(data, "model JSON", ("dim", "facets"))
+    if not _is_count(data["dim"]):
+        raise ValueError("model JSON field 'dim' must be a non-negative "
+                         f"integer; got {data['dim']!r}")
+    if not isinstance(data["facets"], list):
+        raise ValueError("model JSON field 'facets' must be a list; got "
+                         f"{type(data['facets']).__name__}")
+    facets = []
+    for index, entry in enumerate(data["facets"]):
+        where = f"model JSON facet {index}"
+        _fields(entry, where, ("normal", "offset"))
+        facets.append(_read(where, lambda: Facet(tuple(entry["normal"]),
+                                                 Fraction(entry["offset"]))))
+    return MomentModel((Factor(data["dim"], facets),),
+                       data.get("description", ""))
 
 
 _FACTOR_KEYS = ("sphere", "cp", "cylinder")
@@ -410,18 +437,25 @@ def model_from_factors(spec: Iterable[dict]) -> MomentModel:
     """Shorthand: [{"sphere": "3/2"}, {"cp": {"k": 2, "lambda": "10"}},
     {"cylinder": true}] builds the product in order."""
     factors = []
-    for entry in spec:
-        keys = [key for key in _FACTOR_KEYS if key in entry]
+    for index, entry in enumerate(spec):
+        where = f"model JSON factor {index}"
+        keys = [key for key in _FACTOR_KEYS
+                if isinstance(entry, dict) and key in entry]
         if len(keys) != 1:
-            raise ValueError(f"factor {entry!r} must name exactly one of "
-                             f"{_FACTOR_KEYS}")
+            raise ValueError(f"{where} must be an object naming exactly one "
+                             f"of {', '.join(_FACTOR_KEYS)}; got {entry!r}")
         key = keys[0]
         if key == "sphere":
-            factors.append(sphere_factor(Fraction(entry["sphere"])))
+            factors.append(_read(where, lambda: sphere_factor(
+                Fraction(entry["sphere"]))))
         elif key == "cp":
             blob = entry["cp"]
-            factors.append(projective_factor(int(blob["k"]),
-                                             Fraction(blob["lambda"])))
+            _fields(blob, f"{where} 'cp'", ("k", "lambda"))
+            if isinstance(blob["k"], bool) or not isinstance(blob["k"], int):
+                raise ValueError(f"{where} 'cp' field 'k' must be an "
+                                 f"integer; got {blob['k']!r}")
+            factors.append(_read(where, lambda: projective_factor(
+                blob["k"], Fraction(blob["lambda"]))))
         else:
             factors.append(cylinder_factor())
     if not factors:

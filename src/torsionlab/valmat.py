@@ -411,6 +411,12 @@ def _fields(data, where: str, names: tuple[str, ...]) -> None:
             raise ValueError(f"{where} has no {name!r} field")
 
 
+def _is_count(value) -> bool:
+    """A non-negative int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 0
+
+
 def _field_level(data: dict, where: str) -> Level | None:
     """The optional ``trunc`` field as a level."""
     value = data.get("trunc")
@@ -447,7 +453,10 @@ def complex_from_json(data: dict, trunc: Level | None = None) -> ChainComplex:
     _fields(data, "complex JSON", ("ranks", "differentials"))
     level = trunc if trunc is not None \
         else _field_level(data, "complex JSON")
-    ranks = [int(r) for r in data["ranks"]]
+    ranks = data["ranks"]
+    if not isinstance(ranks, list) or not all(map(_is_count, ranks)):
+        raise ValueError("complex JSON field 'ranks' must be a list of "
+                         f"non-negative integers; got {ranks!r}")
     blobs = data["differentials"]
     if len(blobs) != max(len(ranks) - 1, 0):
         raise ValueError("need exactly one differential per adjacent "

@@ -1,9 +1,10 @@
 """Golden reports: CLI stdout of the exact subcommands, and hamlab reports.
 
 ``golden/cases.json`` lists each case: the subcommand, its arguments,
-and for ``snf`` and ``decompose`` the matrix or complex file contents
-(the ``input`` key).  A ``torsion``, ``polydisk`` or ``optimize`` case
-has no ``input``: its argument list is the whole command.  For each
+and optionally the contents of one JSON input file (the ``input`` key),
+passed as ``--matrix`` to ``snf``, ``--complex`` to ``decompose`` and
+``--model`` to ``torsion`` and ``optimize``.  A case without ``input``
+has its whole command in its argument list.  For each
 case the expected stdout and exit code of the text report are kept in
 ``golden/<name>.txt`` and those of the ``--json`` report in
 ``golden/<name>.json.txt``; the first line of each file is the exit
@@ -29,6 +30,9 @@ import tempfile
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 HAMLAB = os.path.join(GOLDEN, "hamlab.json")
+
+INPUT_FLAGS = {"snf": "--matrix", "decompose": "--complex",
+               "torsion": "--model", "optimize": "--model"}
 
 # suite name and keyword arguments of each pinned hamlab run
 HAMLAB_RUNS = (
@@ -59,8 +63,7 @@ def render(case: dict, as_json: bool) -> str:
             path = os.path.join(tmp, "input.json")
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(case["input"], handle)
-            argv += ["--matrix" if case["command"] == "snf"
-                     else "--complex", path]
+            argv += [INPUT_FLAGS[case["command"]], path]
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -215,6 +216,10 @@ def test_snf_rejects_zero_denominator_while_reading_matrix(capsys,
             "COEFF*T(p/q)" in err)
 
 
+_RANKS = "complex JSON field 'ranks' must be a list of non-negative integers"
+_ONE_DIFFERENTIAL = [{"rows": 1, "cols": 1, "entries": [["T(1)"]]}]
+
+
 @pytest.mark.parametrize("command, data, message", [
     ("snf", {"rows": 1, "cols": 1}, "matrix JSON has no 'entries' field"),
     ("snf", [["1"]], "matrix JSON must be an object with fields rows, "
@@ -228,17 +233,61 @@ def test_snf_rejects_zero_denominator_while_reading_matrix(capsys,
                    "differentials": [{"rows": 0, "cols": 1,
                                       "entries": []}]},
      "need exactly one differential per adjacent pair of degrees"),
+    ("decompose", {"ranks": [1.5, 1], "differentials": _ONE_DIFFERENTIAL},
+     f"{_RANKS}; got [1.5, 1]"),
+    ("decompose", {"ranks": ["1", True], "differentials": _ONE_DIFFERENTIAL},
+     f"{_RANKS}; got ['1', True]"),
+    ("decompose", {"ranks": [-1, 1], "differentials": _ONE_DIFFERENTIAL},
+     f"{_RANKS}; got [-1, 1]"),
+    ("torsion", {"dim": -1, "facets": []},
+     "model JSON field 'dim' must be a non-negative integer; got -1"),
+    ("torsion", {"dim": True, "facets": []},
+     "model JSON field 'dim' must be a non-negative integer; got True"),
+    ("torsion", {"dim": 1}, "model JSON has no 'facets' field"),
+    ("torsion", [{"normal": [1], "offset": "0"}],
+     "model JSON must be an object with fields dim, facets; got list"),
+    ("torsion", {"dim": 1, "facets": [{"normal": [1]}]},
+     "model JSON facet 0 has no 'offset' field"),
+    ("torsion", {"product": [1]}, "model JSON factor 0 must be an object "
+                                  "naming exactly one of sphere, cp, "
+                                  "cylinder; got 1"),
+    ("torsion", {"product": [{"cp": {"k": "a", "lambda": "3"}}]},
+     "model JSON factor 0 'cp' field 'k' must be an integer; got 'a'"),
 ], ids=["no-entries", "top-level-array", "bad-trunc",
-        "differential-without-entries", "extra-differential"])
+        "differential-without-entries", "extra-differential",
+        "fractional-rank", "string-and-bool-ranks", "negative-rank",
+        "negative-dim", "bool-dim", "no-facets", "model-top-level-array",
+        "facet-without-offset", "factor-not-an-object", "cp-k-not-an-int"])
 def test_malformed_json_names_the_field_and_exits_2(capsys, tmp_path,
                                                     command, data, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
-    flag = "--matrix" if command == "snf" else "--complex"
-    code, out, err = invoke(capsys, command, flag, str(path))
+    argv = {"snf": ["--matrix", str(path)],
+            "decompose": ["--complex", str(path)],
+            "torsion": ["--model", str(path), "--fiber", "1/2"]}[command]
+    code, out, err = invoke(capsys, command, *argv)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["torsion", "--model", "cp:a:3", "--fiber", "1,1"],
+     "--model factor 'cp:a:3' needs an integer k; got 'a'"),
+    (["snf", "--matrix", "MATRIX", "--trunc", "abc"],
+     "--trunc needs a level p/q or inf; got 'abc'"),
+    (["polydisk", "--mode", "1.4", "--S", "1/0"],
+     "--S needs a rational p/q; got '1/0'"),
+    (["optimize", "--model", "cylinder", "--cap", ""],
+     "--cap needs a rational p/q; got ''"),
+    (["torsion", "--model", "sphere:1", "--fiber", "1/2a"],
+     "--fiber needs a rational p/q; got '1/2a'"),
+], ids=["inline-cp-k", "trunc", "S-zero-denominator", "empty-cap", "fiber"])
+def test_malformed_flag_value_names_the_flag_and_exits_2(
+        capsys, matrix_file, argv, message):
+    argv = [matrix_file if a == "MATRIX" else a for a in argv]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_missing_matrix_file_exits_2(capsys):
@@ -328,3 +377,24 @@ def test_exact_subcommands_load_no_numerics(matrix_file, complex_file):
         capture_output=True, text=True, env=env, check=True)
     result = json.loads(done.stdout.splitlines()[-1])
     assert result == {"codes": [0, 0, 0, 0], "loaded": []}
+
+
+def test_polydisk_time_and_report_grow_linearly_in_n(capsys):
+    # every factor is printed once, as an entry of the factor list
+    started = time.perf_counter()
+    code, out, _ = invoke(capsys, "polydisk", "--mode", "1.4",
+                          "--n", "1000", "--S", "2")
+    elapsed = time.perf_counter() - started
+    assert code == 0 and "bound: 2 (= 2, exact)" in out
+    assert elapsed < 1.0
+    assert len(out.encode()) < 100_000
+
+
+def test_torsion_at_the_equator_of_600_spheres_answers_in_a_second(capsys):
+    started = time.perf_counter()
+    code, out, _ = invoke(capsys, "torsion",
+                          "--model", "x".join(["sphere:1"] * 600),
+                          "--fiber", ",".join(["1/2"] * 600))
+    elapsed = time.perf_counter() - started
+    assert code == 0 and "threshold: inf (exact)" in out
+    assert elapsed < 1.0

@@ -20,7 +20,15 @@ numerators up to 10^4 at truncation 6, the normal form of
 ``1 - 1/3*T(1/2)`` at truncation 12, whose quotients carry 3^k, and a
 Koszul complex with non-unit coefficients) were written from the code
 whose coefficients were still Fractions, before they became integers
-over one denominator per element.
+over one denominator per element.  The four model-file cases (``torsion``
+on a facet file whose blocks interleave, which pins the facet-area
+order; ``torsion`` and ``optimize --cap 3`` on a factor-list file of
+CP^2, a sphere and a cylinder; ``optimize`` on the pentagon x interval
+facet file) were written from the code whose products still padded
+every facet normal into the joint coordinates, before a model became a
+tuple of factors.  That change re-pinned the four ``polydisk`` cases,
+whose ``model`` field now prints the ``{"product": [...]}`` factor
+list; nothing else in them moved.
 ``python tests/golden_reports.py --check`` runs the same comparison
 without pytest and writes nothing.
 """

@@ -6,7 +6,7 @@ import pytest
 
 from torsionlab.errors import ConstraintViolated
 from torsionlab.polydisk import PolydiskSpec, build_ambient, polydisk_bound
-from torsionlab.toric import facet_areas
+from torsionlab.toric import facet_areas, model_from_json
 
 
 def test_defaults_mode_14():
@@ -28,14 +28,17 @@ def test_mode_13_ignores_ambient_knobs():
 
 
 def test_build_ambient_mode_14():
-    model, fiber, facts = build_ambient(PolydiskSpec(mode="1.4", S=2, n=3))
+    model, listing, fiber, facts = build_ambient(
+        PolydiskSpec(mode="1.4", S=2, n=3))
     assert model.description == "S2(3/2) x S2(5) x S2(5)"
+    assert listing == {"product": [{"sphere": "3/2"}, {"sphere": "5"},
+                                   {"sphere": "5"}]}
     assert fiber == (F(3, 4), F(2), F(2))
     assert facts
 
 
 def test_build_ambient_mode_15():
-    model, fiber, _ = build_ambient(
+    model, _, fiber, _ = build_ambient(
         PolydiskSpec(mode="1.5", S=2, n=3, k=2, lam=10))
     assert model.description == "S2(3/2) x CP2(10)"
     assert fiber == (F(3, 4), F(2), F(2))
@@ -43,7 +46,7 @@ def test_build_ambient_mode_15():
 
 
 def test_build_ambient_mode_13():
-    model, fiber, _ = build_ambient(PolydiskSpec(mode="1.3", S=F(3, 4)))
+    model, _, fiber, _ = build_ambient(PolydiskSpec(mode="1.3", S=F(3, 4)))
     assert model.description == "C x S2(1)"
     assert fiber == (F(3, 4), F(1, 2))
 
@@ -127,7 +130,10 @@ def test_report_shape():
                 "containments", "model", "fiber"):
         assert key in report
     assert report["fiber"] == ["3/4", "2", "2"]
-    assert report["model"]["dim"] == 3
+    assert report["model"] == {
+        "product": [{"sphere": "3/2"}, {"cp": {"k": 2, "lambda": "10"}}]}
+    model = build_ambient(PolydiskSpec(mode="1.5", S=2, n=3, k=2, lam=10))[0]
+    assert model_from_json(report["model"]) == model
     assert "2" in report["claim"]
 
 

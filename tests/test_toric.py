@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 from koszul import koszul_complex
 from torsionlab import toric
 from torsionlab.errors import EmptyInterior, FiberOnBoundary
-from torsionlab.novikov import NovikovElement, from_text
+from torsionlab.novikov import NovikovElement, from_text, to_text
 from torsionlab.rationals import INFINITE, is_infinite
 from torsionlab.toric import (
     Facet,
+    Factor,
     MomentModel,
     boundary_covector,
     coordinate_intervals,
@@ -22,7 +23,6 @@ from torsionlab.toric import (
     floer_cohomology,
     model_from_factors,
     model_from_json,
-    model_to_json,
     optimize_threshold,
     potential,
     product,
@@ -33,13 +33,33 @@ from torsionlab.toric import (
 from torsionlab.valmat import decompose, torsion_threshold
 
 
+def dense(model: MomentModel) -> MomentModel:
+    """The model as one general factor, each facet normal padded with
+    zeros into the product coordinates: how ``product`` built a model
+    before models kept their factors."""
+    total_dim = model.dim
+    facets = []
+    offset_dim = 0
+    for factor in model.factors:
+        for facet in factor.facets:
+            normal = (0,) * offset_dim + facet.normal \
+                + (0,) * (total_dim - offset_dim - factor.dim)
+            facets.append(Facet(normal, facet.offset))
+        offset_dim += factor.dim
+    return MomentModel((Factor(total_dim, facets),), model.description)
+
+
 def translated(model: MomentModel, shift) -> MomentModel:
-    facets = tuple(
-        Facet(f.normal,
-              f.offset + sum(n * s for n, s in zip(f.normal, shift)),
-              f.kind)
-        for f in model.facets)
-    return MomentModel(model.dim, facets, model.description)
+    factors = []
+    start = 0
+    for factor in model.factors:
+        part = shift[start:start + factor.dim]
+        factors.append(Factor(factor.dim, tuple(
+            Facet(f.normal,
+                  f.offset + sum(c * s for c, s in zip(f.normal, part)))
+            for f in factor.facets)))
+        start += factor.dim
+    return MomentModel(factors, model.description)
 
 
 def random_model(rng: random.Random):
@@ -70,30 +90,32 @@ def random_model(rng: random.Random):
 def test_sphere_factor_facets():
     model = sphere_factor(F(3, 2))
     assert model.dim == 1
-    assert [(f.normal, f.offset) for f in model.facets] == \
+    (factor,) = model.factors
+    assert [(f.normal, f.offset) for f in factor.facets] == \
         [((1,), F(0)), ((-1,), F(-3, 2))]
-    assert all(f.kind == "closed" for f in model.facets)
 
 
 def test_projective_factor_facets():
     model = projective_factor(2, 10)
     assert model.dim == 2
-    assert [(f.normal, f.offset) for f in model.facets] == \
+    (factor,) = model.factors
+    assert [(f.normal, f.offset) for f in factor.facets] == \
         [((1, 0), F(0)), ((0, 1), F(0)), ((-1, -1), F(-10))]
 
 
 def test_cylinder_factor_is_single_open_facet():
     model = cylinder_factor()
-    assert model.dim == 1
-    assert len(model.facets) == 1
-    assert model.facets[0].kind == "open"
+    assert model.factors == (Factor(1, (Facet((1,), 0),)),)
+    assert model.description == "C"
 
 
-def test_product_pads_normals():
-    model = product(sphere_factor(1), projective_factor(2, 5))
+def test_product_concatenates_factors():
+    sphere, plane = sphere_factor(1), projective_factor(2, 5)
+    model = product(sphere, plane)
     assert model.dim == 3
-    assert [f.normal for f in model.facets] == [
-        (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, -1)]
+    assert model.factors == sphere.factors + plane.factors
+    assert [f.normal for factor in model.factors for f in factor.facets] \
+        == [(1,), (-1,), (1, 0), (0, 1), (-1, -1)]
     assert model.description == "S2(1) x CP2(5)"
 
 
@@ -232,6 +254,81 @@ def test_closed_form_matches_koszul_normal_form(case):
         torsion_threshold(expected)
 
 
+# general facet blocks for the products below, each with points inside it
+GENERAL_BLOCKS = (
+    # a pentagon
+    (((1, 0), 0), ((0, 1), 0), ((-1, 0), -3), ((0, -1), -2), ((-1, -1), -4)),
+    # a triangle with a sheared facet, all three coordinates coupled
+    (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, 0), -2),
+     ((0, -1, -1), -3), ((-1, 0, -2), -5)),
+    # a simplex in (u0, u2) next to an interval in u1
+    (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, 0, -1), -2),
+     ((0, -1, 0), -1)),
+)
+
+
+@st.composite
+def products_with_fibers(draw):
+    """A product of spheres, CP^1, CP^2, cylinders and one general facet
+    block, in a drawn order, with a fiber that is interior or, now and
+    then, on a facet or outside; a truncation (none, finite or inf); and
+    a cap (none or finite)."""
+    kinds = draw(st.lists(st.sampled_from(("sphere", "cp", "cylinder")),
+                          min_size=0, max_size=3))
+    kinds.insert(draw(st.integers(0, len(kinds))), "general")
+    factors = []
+    fiber = []
+    for kind in kinds:
+        if kind == "sphere":
+            area = F(draw(st.integers(1, 8)), draw(st.integers(1, 3)))
+            factors.append(sphere_factor(area))
+            fiber.append(area * F(draw(st.integers(0, 8)), 8))
+        elif kind == "cp":
+            k = draw(st.integers(1, 2))
+            size = F(draw(st.integers(1, 8)), draw(st.integers(1, 2)))
+            factors.append(projective_factor(k, size))
+            weights = draw(st.lists(st.integers(0, 4), min_size=k + 1,
+                                    max_size=k + 1).filter(any))
+            fiber.extend(size * F(w, sum(weights)) for w in weights[:k])
+        elif kind == "cylinder":
+            factors.append(cylinder_factor())
+            fiber.append(F(draw(st.integers(0, 9)), 4))
+        else:
+            block = draw(st.sampled_from(GENERAL_BLOCKS))
+            dim = len(block[0][0])
+            factors.append(facet_model(dim, block))
+            fiber.extend(F(draw(st.integers(0, 8)), 4) for _ in range(dim))
+    trunc = draw(st.sampled_from(
+        (None, INFINITE, F(draw(st.integers(1, 16)), 4))))
+    cap = draw(st.sampled_from((None, F(7, 2))))
+    return product(*factors), fiber, trunc, cap
+
+
+def outcome(call):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except (FiberOnBoundary, EmptyInterior, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200)
+@given(products_with_fibers())
+def test_factors_answer_like_their_dense_padding(case):
+    model, fiber, trunc, cap = case
+    padded = dense(model)
+    assert padded.dim == model.dim and len(padded.factors) == 1
+    for answer in (
+            lambda m: facet_areas(m, fiber),
+            lambda m: [to_text(w) for w in boundary_covector(m, fiber, trunc)],
+            lambda m: torsion_threshold_at(m, fiber, trunc),
+            lambda m: floer_cohomology(m, fiber, trunc),
+            lambda m: m.is_interior(fiber),
+            lambda m: coordinate_intervals(m, cap)):
+        assert outcome(lambda: answer(model)) == \
+            outcome(lambda: answer(padded))
+
+
 # -- cohomology decompositions --------------------------------------------
 
 def test_cohomology_of_equator_product_is_free():
@@ -355,9 +452,11 @@ def brute_force_intervals(model, cap=None):
     every choice of ``dim`` facets with independent normals, solved by
     Cramer's rule and kept when no facet is violated.  None when there
     is no vertex."""
+    model = dense(model)
+    (factor,) = model.factors
     n = model.dim
     vertices = []
-    for subset in itertools.combinations(model.facets, n):
+    for subset in itertools.combinations(factor.facets, n):
         rows = [[F(c) for c in f.normal] for f in subset]
         det = _det(rows)
         if det == 0:
@@ -373,16 +472,16 @@ def brute_force_intervals(model, cap=None):
     for i in range(n):
         lo = min(v[i] for v in vertices)
         hi = max(v[i] for v in vertices)
-        if all(f.normal[i] >= 0 for f in model.facets):
+        if all(f.normal[i] >= 0 for f in factor.facets):
             hi = max(hi, F(cap))
-        if all(f.normal[i] <= 0 for f in model.facets):
+        if all(f.normal[i] <= 0 for f in factor.facets):
             lo = min(lo, -F(cap))
         intervals.append((lo, hi))
     return intervals
 
 
 def facet_model(dim, facets):
-    return MomentModel(dim, tuple(Facet(n, F(o)) for n, o in facets))
+    return MomentModel((Factor(dim, [Facet(n, F(o)) for n, o in facets]),))
 
 
 INTERVAL_MODELS = {
@@ -495,12 +594,18 @@ def test_optimize_empty_grid():
 
 # -- serialization --------------------------------------------------------
 
-def test_model_json_round_trip():
-    model = product(sphere_factor(F(3, 2)), cylinder_factor(),
-                    projective_factor(2, 10))
-    blob = model_to_json(model)
-    again = model_from_json(blob)
-    assert again == model
+def test_model_json_reads_factor_lists_and_facet_lists():
+    listing = {"product": [{"sphere": "3/2"}, {"cylinder": True},
+                           {"cp": {"k": 2, "lambda": "10"}}]}
+    assert model_from_json(listing) == product(
+        sphere_factor(F(3, 2)), cylinder_factor(), projective_factor(2, 10))
+    facets = [((0, 1), 0), ((1, 0), 0), ((-1, -1), -2)]
+    blob = {"dim": 2, "description": "triangle",
+            "facets": [{"normal": list(n), "offset": str(o), "kind": "any"}
+                       for n, o in facets]}
+    model = model_from_json(blob)
+    assert model == MomentModel(
+        (Factor(2, [Facet(n, o) for n, o in facets]),), "triangle")
 
 
 def test_model_from_factor_shorthand():
@@ -511,7 +616,7 @@ def test_model_from_factor_shorthand():
     mixed = model_from_factors([
         {"cp": {"k": 2, "lambda": "10"}}, {"cylinder": True}])
     assert mixed.dim == 3
-    assert mixed.facets[-1].kind == "open"
+    assert mixed.factors[-1:] == cylinder_factor().factors
 
 
 def test_factor_shorthand_rejects_garbage():
