@@ -9,8 +9,10 @@ case the expected stdout and exit code of the text report are kept in
 ``golden/<name>.txt`` and those of the ``--json`` report in
 ``golden/<name>.json.txt``; the first line of each file is the exit
 code.  ``golden/hamlab.json`` keeps the report dicts of four small
-hamlab suite runs (see ``HAMLAB_RUNS``), every value as its ``repr``,
-so floats are pinned to the last bit.  To rewrite them after an
+hamlab suite runs (see ``HAMLAB_RUNS``) and the outputs of three hamlab
+kernels on fields with sin, cos and exp terms, which the suites never
+reach (see ``hamlab_kernels``), every value as its ``repr``, so floats
+are pinned to the last bit.  To rewrite them after an
 intended report change, run
 
     PYTHONPATH=src python tests/golden_reports.py
@@ -43,6 +45,11 @@ HAMLAB_RUNS = (
 )
 
 
+# non-polynomial fields of the pinned kernel runs
+WAVE = "sin(x1)*cos(y1) + t*x1**2"
+DAMPED = "exp(-x1**2/2)*cos(y1) - t*sin(x1 + y1)"
+
+
 def cases() -> list[dict]:
     with open(os.path.join(GOLDEN, "cases.json"), encoding="utf-8") as handle:
         return json.load(handle)
@@ -71,6 +78,42 @@ def render(case: dict, as_json: bool) -> str:
     return f"{code}\n{out.getvalue()}"
 
 
+def hamlab_kernels() -> dict:
+    """A flow, a gauge transform and Hofer norms on ``WAVE`` and
+    ``DAMPED``, each array as the ``repr`` of its list of floats."""
+    import numpy as np
+    from torsionlab import hamlab
+
+    plane = hamlab.euclidean_plane()
+    wave = hamlab.HamiltonianField(plane, WAVE)
+    damped = hamlab.HamiltonianField(plane, DAMPED)
+    side = np.linspace(-1.5, 1.5, 5)
+    points = np.stack(np.meshgrid(side, side, indexing="ij"),
+                      axis=-1).reshape(-1, 2)
+    t = np.linspace(0.0, 1.0, 17)
+    path = np.stack([0.8 * np.cos(3 * t), 0.5 * t - 0.3], axis=-1)
+    box = [(-2.0, 2.0), (-1.5, 2.5)]
+    return {
+        "flow": {
+            "wave": repr(hamlab.flow(wave, 0.75, points).tolist()),
+            "damped_backward": repr(hamlab.flow(damped, 0.1, points,
+                                               t0=0.9).tolist()),
+        },
+        "gauge_plus": {
+            which: repr(hamlab.gauge_plus(damped, which, path, t_nodes=t,
+                                          max_step=1 / 128).tolist())
+            for which in ("first", "second")
+        },
+        "hofer_norms": {
+            "wave": repr(hamlab.hofer_norms(wave, box=box)),
+            "damped": repr(hamlab.hofer_norms(damped, box=box,
+                                              resolution=21,
+                                              time_nodes=33,
+                                              refine_rounds=5)),
+        },
+    }
+
+
 def render_hamlab() -> str:
     """The pinned hamlab reports as the text of ``golden/hamlab.json``."""
     from torsionlab.hamlab import verify
@@ -79,6 +122,7 @@ def render_hamlab() -> str:
     for suite, kwargs in HAMLAB_RUNS:
         report = getattr(verify, "suite_" + suite)(**kwargs)
         reports[suite] = {key: repr(value) for key, value in report.items()}
+    reports.update(hamlab_kernels())
     return json.dumps(reports, indent=1) + "\n"
 
 
