@@ -132,7 +132,13 @@ def _number(text, flag: str, level: bool = False):
 
 
 def _parse_trunc(text):
-    return _number(text, "--trunc", level=True)
+    """The --trunc level, or None when absent.  A level at or below 0
+    would hide every term and make each answer look free, so it is
+    refused."""
+    level = _number(text, "--trunc", level=True)
+    if level is not None and level <= 0:
+        raise ValueError(f"--trunc needs a level above 0; got {text!r}")
+    return level
 
 
 def _parse_fiber(text: str):

@@ -19,7 +19,8 @@ Hofer norms follow the convention
 
 so the norm of any constant vanishes while E-+/E+ themselves may be
 negative for one-signed Hamiltonians.  Extrema are located by dense
-grid scans with window refinement over a bounding box the caller gives.
+grid scans with window refinement over a bounding box the caller gives,
+the windows of many time nodes in one evaluation.
 """
 
 from __future__ import annotations
@@ -109,10 +110,14 @@ class HamiltonianField:
         member._bound = values
         return member
 
-    def _arguments(self, t, points: np.ndarray):
+    def _coefficient_values(self) -> tuple:
         if self._bound is None:
             raise ValueError(f"bind values to {list(self.coefficients)} "
                              "before evaluating the family")
+        return self._bound
+
+    def _arguments(self, t, points: np.ndarray):
+        bound = self._coefficient_values()
         flat = points.reshape(-1, self.space.dim)
         t_arr = np.asarray(t, dtype=float)
         if t_arr.ndim:
@@ -120,7 +125,7 @@ class HamiltonianField:
             # the leading point axes (e.g. a per-column time grid)
             t_arr = np.broadcast_to(t_arr, points.shape[:-1]).reshape(-1)
         return flat, (t_arr, *(flat[:, i] for i in range(self.space.dim)),
-                      *self._bound)
+                      *bound)
 
     def value(self, t, points) -> np.ndarray:
         """H(t, points); t is a scalar or one value per point row."""
@@ -143,6 +148,14 @@ class HamiltonianField:
         points = np.asarray(points, dtype=float)
         return self.space.vector_field_from_gradient(
             self.gradient(t, points))
+
+    def partials(self, t: float, x: np.ndarray, y: np.ndarray):
+        """(dH/dx1, dH/dy1) at the points with coordinate columns x, y at
+        the one time t, from one call of the compiled gradient; a partial
+        that does not vary over the points comes back as a 0-d array."""
+        dx, dy = self._gradient(np.asarray(t, dtype=float), x, y,
+                                *self._coefficient_values())
+        return np.asarray(dx, dtype=float), np.asarray(dy, dtype=float)
 
     def time_reversed(self) -> "HamiltonianField":
         """The Hamiltonian -H(1-t, x) generating the reversed path.
@@ -173,32 +186,57 @@ class HoferNorms:
     norm: float
 
 
-def _scan(H, box, per_axis: int, t: float, sign: float
-          ) -> tuple[float, np.ndarray]:
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
-    values = sign * H.value(t, points)
-    best = int(np.argmax(values))
-    return float(values[best]), points[best]
+# the most points one evaluation of a Hofer scan takes: a call scans the
+# windows of as many time nodes as fit
+SCAN_POINTS = 2 ** 16
 
 
-def _extremum(H, box, per_axis: int, rounds: int, t: float, sign: float
-              ) -> float:
-    outer = list(box)
-    current = list(box)
-    best_value, best_point = _scan(H, current, per_axis, t, sign)
+def _linspace_rows(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
+    """np.linspace(lo[k], hi[k], num) for every index k at once, to the
+    bit.  numpy divides the ramp before scaling it when any step is
+    zero, so rows with a zero step get a call of their own."""
+    flat = (hi - lo) / (num - 1) == 0
+    if not flat.any():
+        return np.linspace(lo, hi, num, axis=-1)
+    out = np.empty(lo.shape + (num,))
+    for rows in (flat, ~flat):
+        out[rows] = np.linspace(lo[rows], hi[rows], num, axis=-1)
+    return out
+
+
+def _scan(H, t: np.ndarray, lo: np.ndarray, hi: np.ndarray, per_axis: int,
+          sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """The best of sign * H over the per_axis^dim grid of each window
+    [lo[j], hi[j]] at time t[j], and the point where it is attained."""
+    nodes, dim = lo.shape
+    axes = _linspace_rows(lo, hi, per_axis)
+    grids = [axes[:, i].reshape((nodes,) + (1,) * i + (per_axis,)
+                                + (1,) * (dim - 1 - i))
+             for i in range(dim)]
+    points = np.stack(np.broadcast_arrays(*grids),
+                      axis=-1).reshape(nodes, -1, dim)
+    values = sign * H.value(t[:, None], points)
+    best = np.argmax(values, axis=1)
+    rows = np.arange(nodes)
+    return values[rows, best], points[rows, best]
+
+
+def _extremum(H, t: np.ndarray, outer_lo: np.ndarray, outer_hi: np.ndarray,
+              per_axis: int, rounds: int, sign: float) -> np.ndarray:
+    """max (sign 1) or min (sign -1) of H at each time t[j]: a scan of
+    the box, then rounds of scans of a window around the best point."""
+    lo, hi = outer_lo, outer_hi
+    best_value, best_point = _scan(H, t, lo, hi, per_axis, sign)
     for _ in range(rounds):
-        next_box = []
-        for i, (lo, hi) in enumerate(current):
-            width = (hi - lo) / (per_axis - 1)
-            center = best_point[i]
-            next_box.append((max(outer[i][0], center - 1.5 * width),
-                             min(outer[i][1], center + 1.5 * width)))
-        current = next_box
-        value, point = _scan(H, current, per_axis, t, sign)
-        if value > best_value:
-            best_value, best_point = value, point
+        width = (hi - lo) / (per_axis - 1)
+        below = best_point - 1.5 * width
+        above = best_point + 1.5 * width
+        lo = np.where(below > outer_lo, below, outer_lo)
+        hi = np.where(above < outer_hi, above, outer_hi)
+        value, point = _scan(H, t, lo, hi, per_axis, sign)
+        better = value > best_value
+        best_value = np.where(better, value, best_value)
+        best_point = np.where(better[:, None], point, best_point)
     return sign * best_value
 
 
@@ -206,21 +244,26 @@ def hofer_norms(H, box: Box | None = None, resolution: int = 33,
                 time_nodes: int = 65, refine_rounds: int = 3) -> HoferNorms:
     """E-, E+, and the Hofer norm of a Hamiltonian.
 
-    Spatial extrema per time node come from a refined grid scan;
-    the time integral is a uniform trapezoid over [0, 1].  The returned
-    norm is e_minus + e_plus by definition.
+    Spatial extrema per time node come from a refined grid scan; each
+    evaluation scans the windows of as many time nodes as SCAN_POINTS
+    allows.  The time integral is a uniform trapezoid over [0, 1].  The
+    returned norm is e_minus + e_plus by definition.
     """
-    pbox = H.space.param_box(box)
+    pbox = np.array(H.space.param_box(box))
     # at most 200 x 200 = 40,000 points per scan
     per_axis = max(5, min(int(resolution), 200))
     t_nodes = np.linspace(0.0, 1.0, int(time_nodes))
     maxima = np.empty_like(t_nodes)
     minima = np.empty_like(t_nodes)
-    for j, t in enumerate(t_nodes):
-        maxima[j] = _extremum(H, pbox, per_axis, refine_rounds, float(t),
-                              1.0)
-        minima[j] = _extremum(H, pbox, per_axis, refine_rounds, float(t),
-                              -1.0)
+    chunk = max(1, SCAN_POINTS // per_axis ** len(pbox))
+    for start in range(0, len(t_nodes), chunk):
+        part = slice(start, start + chunk)
+        t = t_nodes[part]
+        lo = np.broadcast_to(pbox[:, 0], (len(t), len(pbox)))
+        hi = np.broadcast_to(pbox[:, 1], (len(t), len(pbox)))
+        maxima[part] = _extremum(H, t, lo, hi, per_axis, refine_rounds, 1.0)
+        minima[part] = _extremum(H, t, lo, hi, per_axis, refine_rounds,
+                                 -1.0)
     e_plus = float(np.trapezoid(maxima, t_nodes))
     e_minus = float(np.trapezoid(-minima, t_nodes))
     return HoferNorms(e_minus=e_minus, e_plus=e_plus,

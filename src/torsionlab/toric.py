@@ -424,7 +424,13 @@ def model_from_json(data: dict) -> MomentModel:
     for index, entry in enumerate(data["facets"]):
         where = f"model JSON facet {index}"
         _fields(entry, where, ("normal", "offset"))
-        facets.append(_read(where, lambda: Facet(tuple(entry["normal"]),
+        normal = entry["normal"]
+        if not (isinstance(normal, list) and all(
+                isinstance(c, int) and not isinstance(c, bool)
+                for c in normal)):
+            raise ValueError(f"{where} field 'normal' must be a list of "
+                             f"integers; got {normal!r}")
+        facets.append(_read(where, lambda: Facet(tuple(normal),
                                                  Fraction(entry["offset"]))))
     return MomentModel((Factor(data["dim"], facets),),
                        data.get("description", ""))
@@ -457,6 +463,9 @@ def model_from_factors(spec: Iterable[dict]) -> MomentModel:
             factors.append(_read(where, lambda: projective_factor(
                 blob["k"], Fraction(blob["lambda"]))))
         else:
+            if entry["cylinder"] is not True:
+                raise ValueError(f"{where} 'cylinder' must be true; got "
+                                 f"{entry['cylinder']!r}")
             factors.append(cylinder_factor())
     if not factors:
         raise ValueError("empty factor list")

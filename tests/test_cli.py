@@ -253,11 +253,28 @@ _ONE_DIFFERENTIAL = [{"rows": 1, "cols": 1, "entries": [["T(1)"]]}]
                                   "cylinder; got 1"),
     ("torsion", {"product": [{"cp": {"k": "a", "lambda": "3"}}]},
      "model JSON factor 0 'cp' field 'k' must be an integer; got 'a'"),
+    ("torsion", {"dim": 1, "facets": [{"normal": [-1], "offset": "-1"},
+                                      {"normal": [1.5], "offset": "0"}]},
+     "model JSON facet 1 field 'normal' must be a list of integers; "
+     "got [1.5]"),
+    ("torsion", {"dim": 1, "facets": [{"normal": [True], "offset": "0"},
+                                      {"normal": [-1], "offset": "-1"}]},
+     "model JSON facet 0 field 'normal' must be a list of integers; "
+     "got [True]"),
+    ("torsion", {"dim": 2, "facets": [{"normal": "12", "offset": "0"}]},
+     "model JSON facet 0 field 'normal' must be a list of integers; "
+     "got '12'"),
+    ("torsion", {"product": [{"sphere": "1"}, {"cylinder": False}]},
+     "model JSON factor 1 'cylinder' must be true; got False"),
+    ("torsion", {"product": [{"cylinder": 1}]},
+     "model JSON factor 0 'cylinder' must be true; got 1"),
 ], ids=["no-entries", "top-level-array", "bad-trunc",
         "differential-without-entries", "extra-differential",
         "fractional-rank", "string-and-bool-ranks", "negative-rank",
         "negative-dim", "bool-dim", "no-facets", "model-top-level-array",
-        "facet-without-offset", "factor-not-an-object", "cp-k-not-an-int"])
+        "facet-without-offset", "factor-not-an-object", "cp-k-not-an-int",
+        "fractional-normal", "bool-normal", "string-normal",
+        "cylinder-false", "cylinder-one"])
 def test_malformed_json_names_the_field_and_exits_2(capsys, tmp_path,
                                                     command, data, message):
     path = tmp_path / "input.json"
@@ -288,6 +305,25 @@ def test_malformed_flag_value_names_the_flag_and_exits_2(
     argv = [matrix_file if a == "MATRIX" else a for a in argv]
     code, out, err = invoke(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["torsion", "--model", "sphere:1", "--fiber", "1/3"],
+    ["optimize", "--model", "sphere:1xsphere:1", "--resolution", "3"],
+    ["polydisk", "--mode", "1.4", "--n", "3", "--S", "2"],
+    ["snf", "--matrix", "MATRIX"],
+    ["decompose", "--complex", "COMPLEX"],
+], ids=["torsion", "optimize", "polydisk", "snf", "decompose"])
+@pytest.mark.parametrize("level", ["0", "-1", "-1/2"])
+def test_truncation_at_or_below_zero_exits_2(capsys, matrix_file,
+                                             complex_file, argv, level):
+    # a level at or below 0 hides every facet and every entry, so the
+    # answer would claim to be free
+    files = {"MATRIX": matrix_file, "COMPLEX": complex_file}
+    argv = [files.get(a, a) for a in argv] + [f"--trunc={level}"]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (
+        2, "", f"error: --trunc needs a level above 0; got {level!r}\n")
 
 
 def test_missing_matrix_file_exits_2(capsys):

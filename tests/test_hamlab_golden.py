@@ -1,9 +1,12 @@
 """hamlab suite reports stay identical to the last bit.
 
-``golden/hamlab.json`` was written by ``golden_reports.py`` from the code
-before hamlab was cut down to the plane (the phase-space interface, the
-sphere and product spaces and the unused verifiers removed), so this
-test checks that the change left every report value as it was.
+``golden/hamlab.json`` was written by ``golden_reports.py``: its four
+suite reports from the code before hamlab was cut down to the plane (the
+phase-space interface, the sphere and product spaces and the unused
+verifiers removed), its flow, gauge and Hofer-norm outputs from the
+code before RK4 ran on coordinate columns and Hofer scans on batches of
+time nodes.  So this test checks that those changes left every value as
+it was.
 ``python tests/golden_reports.py --check`` runs the same comparison
 without pytest and writes nothing.
 """
