@@ -206,15 +206,13 @@ def _linspace_rows(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
 
 def _scan(H, t: np.ndarray, lo: np.ndarray, hi: np.ndarray, per_axis: int,
           sign: float) -> tuple[np.ndarray, np.ndarray]:
-    """The best of sign * H over the per_axis^dim grid of each window
-    [lo[j], hi[j]] at time t[j], and the point where it is attained."""
-    nodes, dim = lo.shape
+    """The best of sign * H over the per_axis x per_axis grid of each
+    window [lo[j], hi[j]] at time t[j], and the point where it is
+    attained."""
+    nodes = len(t)
     axes = _linspace_rows(lo, hi, per_axis)
-    grids = [axes[:, i].reshape((nodes,) + (1,) * i + (per_axis,)
-                                + (1,) * (dim - 1 - i))
-             for i in range(dim)]
-    points = np.stack(np.broadcast_arrays(*grids),
-                      axis=-1).reshape(nodes, -1, dim)
+    grid = np.broadcast_arrays(axes[:, 0, :, None], axes[:, 1, None, :])
+    points = np.stack(grid, axis=-1).reshape(nodes, -1, 2)
     values = sign * H.value(t[:, None], points)
     best = np.argmax(values, axis=1)
     rows = np.arange(nodes)
@@ -255,12 +253,12 @@ def hofer_norms(H, box: Box | None = None, resolution: int = 33,
     t_nodes = np.linspace(0.0, 1.0, int(time_nodes))
     maxima = np.empty_like(t_nodes)
     minima = np.empty_like(t_nodes)
-    chunk = max(1, SCAN_POINTS // per_axis ** len(pbox))
+    chunk = max(1, SCAN_POINTS // per_axis ** 2)
     for start in range(0, len(t_nodes), chunk):
         part = slice(start, start + chunk)
         t = t_nodes[part]
-        lo = np.broadcast_to(pbox[:, 0], (len(t), len(pbox)))
-        hi = np.broadcast_to(pbox[:, 1], (len(t), len(pbox)))
+        lo = np.broadcast_to(pbox[:, 0], (len(t), 2))
+        hi = np.broadcast_to(pbox[:, 1], (len(t), 2))
         maxima[part] = _extremum(H, t, lo, hi, per_axis, refine_rounds, 1.0)
         minima[part] = _extremum(H, t, lo, hi, per_axis, refine_rounds,
                                  -1.0)

@@ -128,10 +128,21 @@ class DifferenceHamiltonian:
         return transport_to_zero(self._reversed, columns,
                                  [float(t) for t in t_nodes], self.max_step)
 
-    def value(self, t: float, points) -> np.ndarray:
-        t = float(t)
-        return (-self.h1.value(1.0 - t, points)
-                + self.h0.value(t, self.psi(t, points)))
+    def value(self, t, points) -> np.ndarray:
+        """The value at points; t is a scalar or, as for a field, one
+        value per point row.  Each distinct time costs one psi sweep."""
+        points = np.asarray(points, dtype=float)
+        times = np.asarray(t, dtype=float)
+        if times.ndim == 0:
+            t = float(t)
+            return (-self.h1.value(1.0 - t, points)
+                    + self.h0.value(t, self.psi(t, points)))
+        times = np.broadcast_to(times, points.shape[:-1])
+        out = np.empty(times.shape)
+        for tj in np.unique(times):
+            rows = times == tj
+            out[rows] = self.value(float(tj), points[rows])
+        return out
 
 
 def difference_hamiltonian(h0, h1, max_step: float = 1e-3

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hamlab_oracle as oracle
-from torsionlab.hamlab import HamiltonianField, euclidean_plane, fields
+from torsionlab.hamlab import (HamiltonianField, difference_hamiltonian,
+                               euclidean_plane, fields)
 from torsionlab.hamlab.flow import transport_from_zero, transport_to_zero
 
 # the package exports the function flow under the module's name
@@ -163,6 +164,15 @@ def test_default_scans_split_by_the_cap_match(name):
     box = BOXES[0]
     assert bits(fields.hofer_norms(H, box)) \
         == bits(oracle.hofer_norms(H, box))
+
+
+def test_scans_of_a_difference_hamiltonian_match_one_scan_per_node():
+    # its value takes one time per point row by one psi sweep per time
+    diff = difference_hamiltonian(FIELDS["quadratic"], FIELDS["wave"],
+                                  max_step=1 / 32)
+    args = (BOXES[0], 5, 4, 1)
+    assert bits(fields.hofer_norms(diff, *args)) \
+        == bits(oracle.hofer_norms(diff, *args))
 
 
 def test_scans_evaluate_in_batches():
