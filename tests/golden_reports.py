@@ -9,10 +9,10 @@ case the expected stdout and exit code of the text report are kept in
 ``golden/<name>.txt`` and those of the ``--json`` report in
 ``golden/<name>.json.txt``; the first line of each file is the exit
 code.  ``golden/hamlab.json`` keeps the report dicts of four small
-hamlab suite runs (see ``HAMLAB_RUNS``) and the outputs of three hamlab
-kernels on fields with sin, cos and exp terms, which the suites never
-reach (see ``hamlab_kernels``), every value as its ``repr``, so floats
-are pinned to the last bit.  To rewrite them after an
+hamlab suite runs (see ``HAMLAB_RUNS``) and the outputs of five hamlab
+kernels on fields with sin, cos, exp and time terms, which the suites
+never reach (see ``hamlab_kernels``), every value as its ``repr``, so
+floats are pinned to the last bit.  To rewrite them after an
 intended report change, run
 
     PYTHONPATH=src python tests/golden_reports.py
@@ -79,8 +79,9 @@ def render(case: dict, as_json: bool) -> str:
 
 
 def hamlab_kernels() -> dict:
-    """A flow, a gauge transform and Hofer norms on ``WAVE`` and
-    ``DAMPED``, each array as the ``repr`` of its list of floats."""
+    """A flow, a gauge transform, Hofer norms, the strip energies and
+    the second-argument action difference on ``WAVE`` and ``DAMPED``,
+    each array as the ``repr`` of its list of floats."""
     import numpy as np
     from torsionlab import hamlab
 
@@ -93,6 +94,20 @@ def hamlab_kernels() -> dict:
     t = np.linspace(0.0, 1.0, 17)
     path = np.stack([0.8 * np.cos(3 * t), 0.5 * t - 0.3], axis=-1)
     box = [(-2.0, 2.0), (-1.5, 2.5)]
+    tau = np.linspace(-1.0, 1.0, 9)
+    grid = np.stack(np.broadcast_arrays(
+        0.6 * np.cos(2 * tau[:, None] + 3 * t[None, :]),
+        0.4 * np.sin(tau[:, None] * t[None, :]) + 0.2 * tau[:, None]),
+        axis=-1)
+    strip = hamlab.StripMap(plane, tau, t, grid)
+    # a strip ruled in s, fine enough in t that the identity holds to 1e-3
+    s = np.linspace(0.0, 1.0, 5)[:, None]
+    t_ruled = np.linspace(0.0, 1.0, 33)
+    tt = t_ruled[None, :]
+    ruled = hamlab.StripMap(plane, s[:, 0], t_ruled, np.stack(
+        np.broadcast_arrays(0.8 * np.cos(3 * tt) + s * 0.3 * np.sin(2 * tt),
+                            0.5 * tt - 0.3 + s * (0.2 + 0.1 * tt ** 2)),
+        axis=-1))
     return {
         "flow": {
             "wave": repr(hamlab.flow(wave, 0.75, points).tolist()),
@@ -110,6 +125,16 @@ def hamlab_kernels() -> dict:
                                               resolution=21,
                                               time_nodes=33,
                                               refine_rounds=5)),
+        },
+        "energy_functional": {
+            "wave": repr(hamlab.energy_functional(strip, wave,
+                                                  hamlab.rho_plus())),
+            "damped": repr(hamlab.energy_functional(strip, damped,
+                                                    hamlab.rho_k(2.0))),
+        },
+        "actiondiff_second": {
+            key: repr(value) for key, value in hamlab.verify_actiondiff(
+                damped, ruled, which="second", tol=1e-3).items()
         },
     }
 
