@@ -11,7 +11,7 @@ from .profiles import ElongationProfile, rho_k, rho_plus
 from .spaces import EuclideanSpace, euclidean_plane
 from .strips import StripMap, energy_functional, pullback_area
 from .verify import (
-    difference_hamiltonian,
+    DifferenceHamiltonian,
     run_suite,
     suite_actiondiff,
     suite_energy,
@@ -22,12 +22,12 @@ from .verify import (
 )
 
 __all__ = [
+    "DifferenceHamiltonian",
     "ElongationProfile",
     "EuclideanSpace",
     "HamiltonianField",
     "HoferNorms",
     "StripMap",
-    "difference_hamiltonian",
     "energy_functional",
     "euclidean_plane",
     "flow",

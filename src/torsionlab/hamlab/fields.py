@@ -116,43 +116,23 @@ class HamiltonianField:
                              "before evaluating the family")
         return self._bound
 
-    def _arguments(self, t, points: np.ndarray):
-        bound = self._coefficient_values()
-        flat = points.reshape(-1, self.space.dim)
-        t_arr = np.asarray(t, dtype=float)
-        if t_arr.ndim:
-            # one time per point row, or anything broadcastable across
-            # the leading point axes (e.g. a per-column time grid)
-            t_arr = np.broadcast_to(t_arr, points.shape[:-1]).reshape(-1)
-        return flat, (t_arr, *(flat[:, i] for i in range(self.space.dim)),
-                      *bound)
-
     def value(self, t, points) -> np.ndarray:
-        """H(t, points); t is a scalar or one value per point row."""
+        """H(t, points); t is a scalar or anything that broadcasts
+        across the point rows (one time per row, a per-column grid)."""
         points = np.asarray(points, dtype=float)
-        flat, args = self._arguments(t, points)
-        out = np.asarray(self._value(*args), dtype=float)
-        if out.shape != flat.shape[:1]:
-            out = np.broadcast_to(out, flat.shape[:1])
-        return out.reshape(points.shape[:-1])
+        out = np.asarray(self._value(np.asarray(t, dtype=float),
+                                     points[..., 0], points[..., 1],
+                                     *self._coefficient_values()),
+                         dtype=float)
+        if out.shape != points.shape[:-1]:
+            out = np.broadcast_to(out, points.shape[:-1])
+        return out
 
-    def gradient(self, t, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        flat, args = self._arguments(t, points)
-        out = np.empty(flat.shape)
-        for i, part in enumerate(self._gradient(*args)):
-            out[:, i] = part
-        return out.reshape(points.shape)
-
-    def vector_field(self, t, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        return self.space.vector_field_from_gradient(
-            self.gradient(t, points))
-
-    def partials(self, t: float, x: np.ndarray, y: np.ndarray):
-        """(dH/dx1, dH/dy1) at the points with coordinate columns x, y at
-        the one time t, from one call of the compiled gradient; a partial
-        that does not vary over the points comes back as a 0-d array."""
+    def partials(self, t, x: np.ndarray, y: np.ndarray):
+        """(dH/dx1, dH/dy1) at the points with coordinate columns x, y,
+        from one call of the compiled gradient; t broadcasts against x
+        and y as in ``value``, and a partial that does not vary over the
+        points comes back as a 0-d array."""
         dx, dy = self._gradient(np.asarray(t, dtype=float), x, y,
                                 *self._coefficient_values())
         return np.asarray(dx, dtype=float), np.asarray(dy, dtype=float)
@@ -204,34 +184,42 @@ def _linspace_rows(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
     return out
 
 
-def _scan(H, t: np.ndarray, lo: np.ndarray, hi: np.ndarray, per_axis: int,
-          sign: float) -> tuple[np.ndarray, np.ndarray]:
-    """The best of sign * H over the per_axis x per_axis grid of each
-    window [lo[j], hi[j]] at time t[j], and the point where it is
-    attained."""
-    nodes = len(t)
+def _scan(H, t: np.ndarray, lo: np.ndarray, hi: np.ndarray, per_axis: int
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """The per_axis x per_axis grid of each window [lo[j], hi[j]], one
+    row of points per window, and the values of H at time t[j] on row
+    j."""
     axes = _linspace_rows(lo, hi, per_axis)
     grid = np.broadcast_arrays(axes[:, 0, :, None], axes[:, 1, None, :])
-    points = np.stack(grid, axis=-1).reshape(nodes, -1, 2)
-    values = sign * H.value(t[:, None], points)
+    points = np.stack(grid, axis=-1).reshape(len(t), -1, 2)
+    return points, H.value(t[:, None], points)
+
+
+def _best(points: np.ndarray, values: np.ndarray, sign: float
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """The best of sign * values in each row, and the point where it is
+    attained."""
+    values = sign * values
     best = np.argmax(values, axis=1)
-    rows = np.arange(nodes)
+    rows = np.arange(len(values))
     return values[rows, best], points[rows, best]
 
 
 def _extremum(H, t: np.ndarray, outer_lo: np.ndarray, outer_hi: np.ndarray,
-              per_axis: int, rounds: int, sign: float) -> np.ndarray:
-    """max (sign 1) or min (sign -1) of H at each time t[j]: a scan of
-    the box, then rounds of scans of a window around the best point."""
+              box_scan: tuple[np.ndarray, np.ndarray], per_axis: int,
+              rounds: int, sign: float) -> np.ndarray:
+    """max (sign 1) or min (sign -1) of H at each time t[j]: the scan of
+    the box, which the caller makes once for both signs, then rounds of
+    scans of a window around the best point."""
     lo, hi = outer_lo, outer_hi
-    best_value, best_point = _scan(H, t, lo, hi, per_axis, sign)
+    best_value, best_point = _best(*box_scan, sign)
     for _ in range(rounds):
         width = (hi - lo) / (per_axis - 1)
         below = best_point - 1.5 * width
         above = best_point + 1.5 * width
         lo = np.where(below > outer_lo, below, outer_lo)
         hi = np.where(above < outer_hi, above, outer_hi)
-        value, point = _scan(H, t, lo, hi, per_axis, sign)
+        value, point = _best(*_scan(H, t, lo, hi, per_axis), sign)
         better = value > best_value
         best_value = np.where(better, value, best_value)
         best_point = np.where(better[:, None], point, best_point)
@@ -244,8 +232,9 @@ def hofer_norms(H, box: Box | None = None, resolution: int = 33,
 
     Spatial extrema per time node come from a refined grid scan; each
     evaluation scans the windows of as many time nodes as SCAN_POINTS
-    allows.  The time integral is a uniform trapezoid over [0, 1].  The
-    returned norm is e_minus + e_plus by definition.
+    allows, and the maximum and the minimum share the scan of the box.
+    The time integral is a uniform trapezoid over [0, 1].  The returned
+    norm is e_minus + e_plus by definition.
     """
     pbox = np.array(H.space.param_box(box))
     # at most 200 x 200 = 40,000 points per scan
@@ -259,9 +248,10 @@ def hofer_norms(H, box: Box | None = None, resolution: int = 33,
         t = t_nodes[part]
         lo = np.broadcast_to(pbox[:, 0], (len(t), 2))
         hi = np.broadcast_to(pbox[:, 1], (len(t), 2))
-        maxima[part] = _extremum(H, t, lo, hi, per_axis, refine_rounds, 1.0)
-        minima[part] = _extremum(H, t, lo, hi, per_axis, refine_rounds,
-                                 -1.0)
+        box_scan = _scan(H, t, lo, hi, per_axis)
+        for sign, extrema in ((1.0, maxima), (-1.0, minima)):
+            extrema[part] = _extremum(H, t, lo, hi, box_scan, per_axis,
+                                      refine_rounds, sign)
     e_plus = float(np.trapezoid(maxima, t_nodes))
     e_minus = float(np.trapezoid(-minima, t_nodes))
     return HoferNorms(e_minus=e_minus, e_plus=e_plus,

@@ -134,36 +134,22 @@ def transport_from_zero(H, columns: Sequence[np.ndarray],
     return result
 
 
-def _columns_of(points: np.ndarray) -> list[np.ndarray]:
-    # grid (ns, nt, dim) -> one column of ns points per time node
-    return [points[:, j, :] for j in range(points.shape[1])]
-
-
-def _grid_of(columns: Sequence[np.ndarray]) -> np.ndarray:
-    return np.stack(columns, axis=1)
-
-
-def _extraction_times(which: str, t_nodes: np.ndarray) -> np.ndarray:
-    if which == "first":
-        return t_nodes
-    if which == "second":
-        return 1.0 - t_nodes
-    raise ValueError("which must be 'first' or 'second'")
-
-
 def gauge_plus(H, which: str, points: np.ndarray, t_nodes=None,
                max_step: float = 1e-3) -> np.ndarray:
     """Transform a path (nt, dim) or strip grid (ns, nt, dim) sampled on
     t_nodes (uniform on [0, 1] when omitted)."""
+    if which not in ("first", "second"):
+        raise ValueError("which must be 'first' or 'second'")
     arr = np.asarray(points, dtype=float)
     path = arr.ndim == 2
     grid = arr[None, :, :] if path else arr
     nt = grid.shape[1]
     t_nodes = (np.linspace(0.0, 1.0, nt) if t_nodes is None
                else np.asarray(t_nodes, dtype=float))
-    columns = _columns_of(grid)
+    # one column of ns points per time node
+    columns = [grid[:, j, :] for j in range(nt)]
     at_zero = transport_to_zero(H, columns, [1.0] * nt, max_step)
-    moved = transport_from_zero(H, at_zero,
-                                _extraction_times(which, t_nodes), max_step)
-    out = _grid_of(moved)
+    moved = transport_from_zero(
+        H, at_zero, t_nodes if which == "first" else 1.0 - t_nodes, max_step)
+    out = np.stack(moved, axis=1)
     return out[0] if path else out

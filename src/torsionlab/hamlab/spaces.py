@@ -31,13 +31,6 @@ class EuclideanSpace:
         """Squared euclidean norm, pointwise over the batch."""
         return a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1]
 
-    def vector_field_from_gradient(self, grad: np.ndarray) -> np.ndarray:
-        """X_H = (dH/dy1, -dH/dx1), from dH = omega(X_H, .)."""
-        field = np.empty_like(grad)
-        field[..., 0] = grad[..., 1]
-        field[..., 1] = -grad[..., 0]
-        return field
-
     def param_box(self, box: Box | None) -> list[tuple[float, float]]:
         """The caller's bounding box for extrema scans, checked."""
         if box is None:

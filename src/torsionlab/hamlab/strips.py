@@ -84,12 +84,13 @@ def energy_functional(strip: StripMap, H, rho=None) -> tuple[float, float]:
     rho=None means the constant profile 1.
     """
     du_dtau, du_dt = strip.partials()
-    field = H.vector_field(strip.t, strip.points)
-    if rho is None:
-        weights = np.ones_like(strip.tau)
-    else:
-        weights = rho(strip.tau)
-    V = du_dt - weights[:, None, None] * field
+    # X_H = (dH/dy1, -dH/dx1), from dH = omega(X_H, .); t broadcasts
+    # along the columns and a constant partial over the whole grid
+    dx, dy = H.partials(strip.t, strip.points[..., 0], strip.points[..., 1])
+    weights = (np.ones_like(strip.tau) if rho is None
+               else rho(strip.tau))[:, None]
+    V = np.stack([du_dt[..., 0] - weights * dy,
+                  du_dt[..., 1] - weights * -dx], axis=-1)
     density = 0.5 * (strip.space.metric_norm2(du_dtau)
                      + strip.space.metric_norm2(V))
     energy = integrate_grid(strip, density)

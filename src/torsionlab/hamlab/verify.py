@@ -21,7 +21,7 @@ import statistics
 import numpy as np
 
 from .fields import HamiltonianField, hofer_norms
-from .flow import _rk4_segment, gauge_plus, transport_to_zero
+from .flow import flow, gauge_plus, transport_to_zero
 from .profiles import rho_k, rho_plus
 from .spaces import euclidean_plane
 from .strips import (StripMap, energy_functional, integrate_grid,
@@ -115,11 +115,7 @@ class DifferenceHamiltonian:
         self._reversed = h1.time_reversed()
 
     def psi(self, t: float, points) -> np.ndarray:
-        arr = np.asarray(points, dtype=float)
-        batch = arr.reshape(-1, self.space.dim)
-        out = _rk4_segment(self._reversed, batch, float(t), 0.0,
-                           self.max_step)
-        return out.reshape(arr.shape)
+        return flow(self._reversed, 0.0, points, self.max_step, t0=t)
 
     def psi_images(self, t_nodes, points) -> list[np.ndarray]:
         """psi_t(points) for every node, in one staggered sweep."""
@@ -143,11 +139,6 @@ class DifferenceHamiltonian:
             rows = times == tj
             out[rows] = self.value(float(tj), points[rows])
         return out
-
-
-def difference_hamiltonian(h0, h1, max_step: float = 1e-3
-                           ) -> DifferenceHamiltonian:
-    return DifferenceHamiltonian(h0, h1, max_step)
 
 
 _QUADRATIC = "c0*x1**2 + c1*x1*y1 + c2*y1**2 + c3*x1 + c4*y1"
@@ -302,7 +293,7 @@ def suite_hat(seed: int = 0, tol: float = 1e-8, cases: int = 50) -> dict:
     for _ in range(cases):
         h0 = _draw(rng, quadratic, 0.5)
         h1 = _draw(rng, quadratic, 0.5)
-        diff = difference_hamiltonian(h0, h1, max_step=2e-3)
+        diff = DifferenceHamiltonian(h0, h1, max_step=2e-3)
         images = diff.psi_images(t_nodes, grid)
         hat_min = np.empty_like(t_nodes)
         hat_max = np.empty_like(t_nodes)

@@ -418,15 +418,21 @@ def _is_count(value) -> bool:
 
 
 def _field_level(data: dict, where: str) -> Level | None:
-    """The optional ``trunc`` field as a level."""
+    """The optional ``trunc`` field as a level.  A level at or below 0
+    would hide every entry and make each answer look free, so it is
+    refused."""
     value = data.get("trunc")
     if value is None:
         return None
     try:
-        return as_level(value)
+        level = as_level(value)
     except (ValueError, TypeError):
         raise ValueError(f"{where} field 'trunc' is not a level (p/q or "
                          f"inf): {value!r}") from None
+    if level <= 0:
+        raise ValueError(f"{where} field 'trunc' needs a level above 0; "
+                         f"got {value!r}")
+    return level
 
 
 def matrix_from_json(data: dict, trunc: Level | None = None,

@@ -1,12 +1,17 @@
-"""The per-point RK4 stage and the per-node Hofer scan, kept as oracles.
+"""The flattened field evaluation, the per-point RK4 stage and the
+per-node Hofer scan, kept as oracles.
 
-``torsionlab.hamlab.flow`` runs each RK4 stage on the two coordinate
-columns through one call of the compiled gradient, and
+``HamiltonianField.value`` and ``partials`` hand the coordinate columns
+and the time straight to the compiled callables and let numpy broadcast
+them; ``torsionlab.hamlab.flow`` runs each RK4 stage on the two
+coordinate columns through one ``partials`` call, and
 ``torsionlab.hamlab.fields.hofer_norms`` scans the windows of many time
-nodes in one evaluation.  This module keeps the loops those replaced:
-every stage goes through ``vector_field`` on a batch of shape (n, 2),
-and every time node and sign gets its own scan and refinement.  The
-arithmetic is the same, so the property tests require equal bits.
+nodes in one evaluation.  This module keeps the paths those replaced:
+``value`` and ``vector_field`` flatten the point rows and spread the
+time over them, every RK4 stage goes through ``vector_field`` on a batch
+of shape (n, 2), and every time node and sign gets its own scan and
+refinement.  The arithmetic is the same, so the property tests require
+equal bits.
 """
 
 import math
@@ -15,6 +20,62 @@ import numpy as np
 
 from torsionlab.errors import StepFailure
 from torsionlab.hamlab.fields import HoferNorms
+
+
+def _arguments(H, t, points: np.ndarray):
+    """The point rows flattened to (m, 2), and the compiled callables'
+    arguments: the time spread over the rows when it is not a scalar,
+    the two coordinate columns and the coefficient values."""
+    flat = points.reshape(-1, 2)
+    t_arr = np.asarray(t, dtype=float)
+    if t_arr.ndim:
+        t_arr = np.broadcast_to(t_arr, points.shape[:-1]).reshape(-1)
+    return flat, (t_arr, flat[:, 0], flat[:, 1], *H._coefficient_values())
+
+
+def value(H, t, points) -> np.ndarray:
+    """H(t, points); t is a scalar, one value per point row, or anything
+    that broadcasts across the leading point axes."""
+    points = np.asarray(points, dtype=float)
+    flat, args = _arguments(H, t, points)
+    out = np.asarray(H._value(*args), dtype=float)
+    if out.shape != flat.shape[:1]:
+        out = np.broadcast_to(out, flat.shape[:1])
+    return out.reshape(points.shape[:-1])
+
+
+def gradient(H, t, points) -> np.ndarray:
+    """(dH/dx1, dH/dy1) at the points, in a trailing axis of length 2."""
+    points = np.asarray(points, dtype=float)
+    flat, args = _arguments(H, t, points)
+    out = np.empty(flat.shape)
+    for i, part in enumerate(H._gradient(*args)):
+        out[:, i] = part
+    return out.reshape(points.shape)
+
+
+def vector_field(H, t, points) -> np.ndarray:
+    """X_H = (dH/dy1, -dH/dx1), from dH = omega(X_H, .)."""
+    grad = gradient(H, t, points)
+    field = np.empty_like(grad)
+    field[..., 0] = grad[..., 1]
+    field[..., 1] = -grad[..., 0]
+    return field
+
+
+def energy_functional(strip, H, rho=None) -> tuple[float, float]:
+    """The elongated and geometric energies of a strip, X_H from
+    ``vector_field`` on the whole (tau, t) grid."""
+    from torsionlab.hamlab.strips import integrate_grid
+
+    du_dtau, du_dt = strip.partials()
+    field = vector_field(H, strip.t, strip.points)
+    weights = np.ones_like(strip.tau) if rho is None else rho(strip.tau)
+    V = du_dt - weights[:, None, None] * field
+    density = 0.5 * (strip.space.metric_norm2(du_dtau)
+                     + strip.space.metric_norm2(V))
+    return (integrate_grid(strip, density),
+            integrate_grid(strip, strip.space.omega(du_dtau, V)))
 
 
 def rk4_segment(H, points: np.ndarray, t0: float, t1: float,
@@ -28,10 +89,10 @@ def rk4_segment(H, points: np.ndarray, t0: float, t1: float,
     t = t0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
-            k1 = H.vector_field(t, points)
-            k2 = H.vector_field(t + h / 2, points + (h / 2) * k1)
-            k3 = H.vector_field(t + h / 2, points + (h / 2) * k2)
-            k4 = H.vector_field(t + h, points + h * k3)
+            k1 = vector_field(H, t, points)
+            k2 = vector_field(H, t + h / 2, points + (h / 2) * k1)
+            k3 = vector_field(H, t + h / 2, points + (h / 2) * k2)
+            k4 = vector_field(H, t + h, points + h * k3)
             points = points + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             t += h
             if not np.all(np.isfinite(points)):

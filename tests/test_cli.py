@@ -268,13 +268,24 @@ _ONE_DIFFERENTIAL = [{"rows": 1, "cols": 1, "entries": [["T(1)"]]}]
      "model JSON factor 1 'cylinder' must be true; got False"),
     ("torsion", {"product": [{"cylinder": 1}]},
      "model JSON factor 0 'cylinder' must be true; got 1"),
+    ("decompose", {"ranks": [1, 1], "differentials": _ONE_DIFFERENTIAL,
+                   "trunc": "0"},
+     "complex JSON field 'trunc' needs a level above 0; got '0'"),
+    ("decompose", {"ranks": [1, 1],
+                   "differentials": [dict(_ONE_DIFFERENTIAL[0],
+                                          trunc="0")]},
+     "complex JSON differential 0 field 'trunc' needs a level above 0; "
+     "got '0'"),
+    ("snf", {"rows": 1, "cols": 1, "entries": [["T(1)"]], "trunc": "-1"},
+     "matrix JSON field 'trunc' needs a level above 0; got '-1'"),
 ], ids=["no-entries", "top-level-array", "bad-trunc",
         "differential-without-entries", "extra-differential",
         "fractional-rank", "string-and-bool-ranks", "negative-rank",
         "negative-dim", "bool-dim", "no-facets", "model-top-level-array",
         "facet-without-offset", "factor-not-an-object", "cp-k-not-an-int",
         "fractional-normal", "bool-normal", "string-normal",
-        "cylinder-false", "cylinder-one"])
+        "cylinder-false", "cylinder-one", "complex-trunc-zero",
+        "differential-trunc-zero", "matrix-trunc-negative"])
 def test_malformed_json_names_the_field_and_exits_2(capsys, tmp_path,
                                                     command, data, message):
     path = tmp_path / "input.json"

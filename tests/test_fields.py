@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from torsionlab.errors import UnboundedDomain
-from torsionlab.hamlab import HamiltonianField, euclidean_plane, hofer_norms
+from torsionlab.hamlab import (HamiltonianField, StripMap, energy_functional,
+                               euclidean_plane, hofer_norms)
 
 BOX = [(-1.0, 1.0), (-1.0, 1.0)]
 PI_BOX = [(-math.pi, math.pi), (-math.pi, math.pi)]
@@ -22,12 +23,27 @@ def test_stray_symbols_are_rejected():
         HamiltonianField(euclidean_plane(), "x1 + q")
 
 
-def test_gradient_and_vector_field():
+def test_partials():
     H = HamiltonianField(euclidean_plane(), "x1**2*y1")
-    p = np.array([1.0, 2.0])
-    assert H.gradient(0.0, p) == pytest.approx([4.0, 1.0])
-    # field turns the gradient a quarter turn: (H_y, -H_x)
-    assert H.vector_field(0.0, p) == pytest.approx([1.0, -4.0])
+    dx, dy = H.partials(0.0, np.array([1.0, -1.0]), np.array([2.0, 3.0]))
+    assert dx == pytest.approx([4.0, -6.0])
+    assert dy == pytest.approx([1.0, 1.0])
+
+
+@pytest.mark.parametrize("expression, geometric", [("x1", 1.0),
+                                                   ("y1", 0.0)])
+def test_energy_functional_turns_the_gradient_a_quarter_turn(expression,
+                                                             geometric):
+    # X_H = (H_y, -H_x); on u(tau, t) = (tau, 0) over the unit square
+    # V = -X_H, so geomE = integral of omega((1, 0), V) = H_x
+    tau = np.linspace(0.0, 1.0, 5)
+    t = np.linspace(0.0, 1.0, 3)
+    points = np.stack(np.broadcast_arrays(tau[:, None], 0.0 * t), axis=-1)
+    strip = StripMap(euclidean_plane(), tau, t, points)
+    H = HamiltonianField(euclidean_plane(), expression)
+    energy, geometric_energy = energy_functional(strip, H)
+    assert energy == pytest.approx(1.0)
+    assert geometric_energy == pytest.approx(geometric)
 
 
 def test_value_broadcasts_time_along_grids():
@@ -112,9 +128,10 @@ def test_bound_family_matches_literal_field():
             assert np.allclose(member.value(t, points),
                                literal.value(t, points),
                                rtol=0.0, atol=1e-12)
-            assert np.allclose(member.gradient(t, points),
-                               literal.gradient(t, points),
-                               rtol=0.0, atol=1e-12)
+            assert np.allclose(
+                member.partials(t, points[:, 0], points[:, 1]),
+                literal.partials(t, points[:, 0], points[:, 1]),
+                rtol=0.0, atol=1e-12)
             assert np.allclose(member.time_reversed().value(t, points),
                                literal.time_reversed().value(t, points),
                                rtol=0.0, atol=1e-12)
@@ -129,14 +146,19 @@ def test_members_share_the_compiled_family():
     p = np.array([1.0, 1.0])
     assert one.value(0.0, p) == pytest.approx(3.0)
     assert two.value(0.0, p) == pytest.approx(2.0)
-    assert one.gradient(0.5, p) == pytest.approx([1.0, 2.0])
+    assert one.partials(0.5, p[0], p[1]) == (1.0, 2.0)
 
 
-def test_constant_partials_broadcast_in_the_fused_gradient():
+def test_constant_partials_broadcast_in_the_energy_functional():
+    # both partials come back 0-d; V = -X_H = (0, 2) on every sample
     H = HamiltonianField(euclidean_plane(), "2*x1 + c0", ("c0",)).bind([5])
-    grads = H.gradient(0.3, np.zeros((4, 3, 2)))
-    assert grads.shape == (4, 3, 2)
-    assert np.all(grads[..., 0] == 2.0) and np.all(grads[..., 1] == 0.0)
+    dx, dy = H.partials(0.3, np.zeros((4, 3)), np.zeros((4, 3)))
+    assert (dx.shape, dy.shape) == ((), ())
+    strip = StripMap(euclidean_plane(), np.linspace(0.0, 1.0, 4),
+                     np.linspace(0.0, 1.0, 3), np.zeros((4, 3, 2)))
+    energy, geometric = energy_functional(strip, H)
+    assert energy == pytest.approx(2.0)
+    assert geometric == 0.0
 
 
 def test_family_must_be_bound_before_evaluation():

@@ -1,5 +1,8 @@
 """Flow integration and gauge transformations."""
 
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +11,9 @@ from torsionlab.errors import StepFailure
 from torsionlab.hamlab import (HamiltonianField, euclidean_plane, flow,
                                gauge_plus)
 from torsionlab.hamlab.flow import transport_from_zero, transport_to_zero
+
+# the package exports the function flow under the module's name
+flow_module = importlib.import_module("torsionlab.hamlab.flow")
 
 
 def rotation_field():
@@ -87,6 +93,14 @@ def test_gauge_of_zero_hamiltonian_is_identity():
     path = np.stack([t, t**2], axis=-1)
     assert np.allclose(gauge_plus(H, "first", path, t_nodes=t), path)
     assert np.allclose(gauge_plus(H, "second", path, t_nodes=t), path)
+
+
+def test_gauge_refuses_an_unknown_argument_before_any_sweep():
+    H = rotation_field()
+    with mock.patch.object(flow_module, "transport_to_zero") as sweep:
+        with pytest.raises(ValueError, match="'first' or 'second'"):
+            gauge_plus(H, "third", np.zeros((3, 2)))
+    sweep.assert_not_called()
 
 
 def test_gauge_endpoint_fixing():

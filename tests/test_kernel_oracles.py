@@ -1,9 +1,13 @@
-"""The column RK4 stage and the batched Hofer scan against their oracles.
+"""Field evaluation, the column RK4 stage and the batched Hofer scan
+against their oracles.
 
-``hamlab_oracle`` keeps the per-point RK4 loop and the per-node Hofer
-scan that ``flow._rk4_segment`` and ``fields.hofer_norms`` replaced.
-Both sides do the same float operations in the same order, so every
-property here requires equal bits, not closeness.
+``hamlab_oracle`` keeps the flattened ``value``/``vector_field`` path
+that ``HamiltonianField.value``, ``partials`` and
+``strips.energy_functional`` replaced, and the per-point RK4 loop and
+the per-node Hofer scan that ``flow._rk4_segment`` and
+``fields.hofer_norms`` replaced.  Both sides do the same float
+operations in the same order, so every property here requires equal
+bits, not closeness.
 """
 
 import importlib
@@ -15,8 +19,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hamlab_oracle as oracle
-from torsionlab.hamlab import (HamiltonianField, difference_hamiltonian,
-                               euclidean_plane, fields)
+from torsionlab.hamlab import (DifferenceHamiltonian, HamiltonianField,
+                               StripMap, energy_functional, euclidean_plane,
+                               fields, rho_k, rho_plus)
 from torsionlab.hamlab.flow import transport_from_zero, transport_to_zero
 
 # the package exports the function flow under the module's name
@@ -56,6 +61,49 @@ def batch(seed: int, rows: int) -> np.ndarray:
 times = st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
                   st.floats(0.0, 1.0, allow_nan=False))
 steps = st.sampled_from([1e-3, 1 / 64, 0.07, 0.5])
+
+
+# -- evaluation on broadcast times ----------------------------------------
+
+PROFILES = {"none": None, "rho_plus": rho_plus(), "rho_k(2)": rho_k(2.0),
+            "rho_k(1/2)": rho_k(0.5)}
+
+
+@st.composite
+def grids(draw):
+    """A (tau, t) grid of 3-6 by 3-7 samples with uneven spacings, t in
+    [0, 1] with both ends, and points in [-1.5, 1.5]^2."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    ns, nt = draw(st.integers(3, 6)), draw(st.integers(3, 7))
+    tau = -1.0 + np.cumsum(rng.uniform(0.1, 0.6, size=ns))
+    steps = np.cumsum(rng.uniform(0.1, 1.0, size=nt - 1))
+    t = np.concatenate([[0.0], steps / steps[-1]])
+    return tau, t, rng.uniform(-1.5, 1.5, size=(ns, nt, 2))
+
+
+@settings(max_examples=60)
+@given(name=st.sampled_from(NAMES), grid=grids(),
+       profile=st.sampled_from(sorted(PROFILES)))
+def test_energy_functional_matches_the_flattened_vector_field(name, grid,
+                                                              profile):
+    H, rho = FIELDS[name], PROFILES[profile]
+    strip = StripMap(PLANE, *grid)
+    got = energy_functional(strip, H, rho)
+    expected = oracle.energy_functional(strip, H, rho)
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+
+@settings(max_examples=60)
+@given(name=st.sampled_from(NAMES), grid=grids(),
+       shape=st.sampled_from(["scalar", "column", "row", "grid"]))
+def test_value_on_time_grids_matches_the_flattened_rows(name, grid, shape):
+    # one time for all, one per column, one per row, one per point
+    tau, t, points = grid
+    rows = ((tau - tau[0]) / (tau[-1] - tau[0]))[:, None]
+    times = {"scalar": float(t[1]), "column": t, "row": rows,
+             "grid": rows * t}[shape]
+    H = FIELDS[name]
+    assert same(H.value(times, points), oracle.value(H, times, points))
 
 
 # -- RK4 on coordinate columns ---------------------------------------------
@@ -168,8 +216,8 @@ def test_default_scans_split_by_the_cap_match(name):
 
 def test_scans_of_a_difference_hamiltonian_match_one_scan_per_node():
     # its value takes one time per point row by one psi sweep per time
-    diff = difference_hamiltonian(FIELDS["quadratic"], FIELDS["wave"],
-                                  max_step=1 / 32)
+    diff = DifferenceHamiltonian(FIELDS["quadratic"], FIELDS["wave"],
+                                 max_step=1 / 32)
     args = (BOXES[0], 5, 4, 1)
     assert bits(fields.hofer_norms(diff, *args)) \
         == bits(oracle.hofer_norms(diff, *args))
@@ -186,7 +234,8 @@ def test_scans_evaluate_in_batches():
 
     with mock.patch.object(type(H), "value", counted):
         fields.hofer_norms(H, BOXES[0])
-    # 2 chunks x 2 signs x (1 scan + 3 refinements)
-    assert len(calls) == 16
+    # 2 chunks x (1 box scan shared by both signs + 2 signs x 3
+    # refinements)
+    assert len(calls) == 14
     assert max(math.prod(shape[:-1]) for shape in calls) \
         <= fields.SCAN_POINTS

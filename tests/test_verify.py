@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy
 
-from torsionlab.hamlab import (HamiltonianField, difference_hamiltonian,
+from torsionlab.hamlab import (DifferenceHamiltonian, HamiltonianField,
                                euclidean_plane, flow, rho_k, rho_plus,
                                run_suite, verify_actiondiff,
                                verify_energy_identity)
@@ -92,10 +92,10 @@ def test_difference_hamiltonian_degenerate_pairs():
     zero = HamiltonianField(SPACE, "0")
     pts = np.array([[0.3, -0.2], [1.0, 0.5]])
 
-    diff = difference_hamiltonian(H0, zero)
+    diff = DifferenceHamiltonian(H0, zero)
     assert np.allclose(diff.value(0.3, pts), H0.value(0.3, pts))
 
-    diff = difference_hamiltonian(zero, H1)
+    diff = DifferenceHamiltonian(zero, H1)
     assert np.allclose(diff.value(0.3, pts), -H1.value(0.7, pts))
 
 
@@ -103,7 +103,7 @@ def test_difference_hamiltonian_transport_geometry():
     # for the standard rotation the comparison map is rotation by t
     H1 = HamiltonianField(SPACE, "(x1**2 + y1**2)/2")
     H0 = HamiltonianField(SPACE, "0")
-    diff = difference_hamiltonian(H0, H1)
+    diff = DifferenceHamiltonian(H0, H1)
     out = diff.psi(0.5, np.array([1.0, 0.0]))
     assert np.allclose(out, [np.cos(0.5), -np.sin(0.5)], atol=1e-9)
     assert np.allclose(diff.psi(1.0, np.array([[1.0, 0.0]])),
@@ -113,7 +113,7 @@ def test_difference_hamiltonian_transport_geometry():
 def test_psi_images_match_pointwise_transport():
     H0 = HamiltonianField(SPACE, "x1/3")
     H1 = HamiltonianField(SPACE, "x1**2/2 - y1**2/4")
-    diff = difference_hamiltonian(H0, H1)
+    diff = DifferenceHamiltonian(H0, H1)
     grid = np.array([[0.1, 0.2], [-0.4, 0.6], [1.0, -1.0]])
     nodes = np.linspace(0.0, 1.0, 9)
     images = diff.psi_images(nodes, grid)
