@@ -146,7 +146,6 @@ def gauge_plus(H, which: str, points: np.ndarray, t_nodes=None,
     nt = grid.shape[1]
     t_nodes = (np.linspace(0.0, 1.0, nt) if t_nodes is None
                else np.asarray(t_nodes, dtype=float))
-    # one column of ns points per time node
     columns = [grid[:, j, :] for j in range(nt)]
     at_zero = transport_to_zero(H, columns, [1.0] * nt, max_step)
     moved = transport_from_zero(

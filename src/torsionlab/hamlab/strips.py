@@ -87,8 +87,7 @@ def energy_functional(strip: StripMap, H, rho=None) -> tuple[float, float]:
     # X_H = (dH/dy1, -dH/dx1), from dH = omega(X_H, .); t broadcasts
     # along the columns and a constant partial over the whole grid
     dx, dy = H.partials(strip.t, strip.points[..., 0], strip.points[..., 1])
-    weights = (np.ones_like(strip.tau) if rho is None
-               else rho(strip.tau))[:, None]
+    weights = 1.0 if rho is None else rho(strip.tau)[:, None]
     V = np.stack([du_dt[..., 0] - weights * dy,
                   du_dt[..., 1] - weights * -dx], axis=-1)
     density = 0.5 * (strip.space.metric_norm2(du_dtau)

@@ -418,9 +418,8 @@ def _is_count(value) -> bool:
 
 
 def _field_level(data: dict, where: str) -> Level | None:
-    """The optional ``trunc`` field as a level.  A level at or below 0
-    would hide every entry and make each answer look free, so it is
-    refused."""
+    """The optional ``trunc`` field as a level above 0; a lower level
+    would hide every entry and make each answer look free."""
     value = data.get("trunc")
     if value is None:
         return None
