@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -182,6 +183,9 @@ def _cmd_torsion(args) -> tuple[Report, int]:
     model = _load_model(args.model)
     fiber = _parse_fiber(args.fiber)
     trunc = _parse_trunc(args.trunc)
+    if len(fiber) != model.dim:
+        raise ValueError(f"--fiber has {len(fiber)} coordinates; the model "
+                         f"has dimension {model.dim}")
     areas = facet_areas(model, fiber)
     covector = boundary_covector(model, fiber, trunc)
     decomposition = floer_cohomology(model, fiber, trunc)
@@ -266,9 +270,17 @@ def _cmd_decompose(args) -> tuple[Report, int]:
 def _cmd_optimize(args) -> tuple[Report, int]:
     model = _load_model(args.model)
     cap = _number(args.cap, "--cap")
+    trunc = _parse_trunc(args.trunc)
+    if args.resolution < 1:
+        raise ValueError("--resolution needs an integer of at least 1; "
+                         f"got {args.resolution}")
+    if args.refine < 0:
+        raise ValueError("--refine needs an integer of at least 0; "
+                         f"got {args.refine}")
+    if cap is not None and cap <= 0:
+        raise ValueError(f"--cap needs a rational above 0; got {args.cap!r}")
     search = optimize_threshold(model, resolution=args.resolution, cap=cap,
-                                refine_rounds=args.refine,
-                                trunc=_parse_trunc(args.trunc))
+                                refine_rounds=args.refine, trunc=trunc)
     report = Report("optimize")
     report.add("model", model.description)
     report.add("resolution", search.resolution)
@@ -279,6 +291,13 @@ def _cmd_optimize(args) -> tuple[Report, int]:
 
 
 def _cmd_verify(args) -> tuple[Report, int]:
+    if args.seed < 0:
+        raise ValueError("--seed needs an integer of at least 0; "
+                         f"got {args.seed}")
+    if args.tol is not None and not (math.isfinite(args.tol)
+                                     and args.tol > 0):
+        raise ValueError("--tol needs a finite number above 0; "
+                         f"got {args.tol:g}")
     # hamlab pulls in sympy and numpy; only this subcommand needs them
     from .hamlab import run_suite
     result = run_suite(args.suite, seed=args.seed,

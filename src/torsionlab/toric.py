@@ -235,19 +235,22 @@ def torsion_threshold_at(model: MomentModel, fiber: Sequence,
 
 # -- optimization over the fiber location --------------------------------
 
-def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]
-                  ) -> list[Fraction] | None:
-    """Exact Gaussian elimination; None for singular systems."""
-    n = len(rows)
+def _solve(rows: list[list[Fraction]], rhs: list[Fraction]
+           ) -> list[Fraction] | None:
+    """Exact Gaussian elimination: the solution the rows fix, None when
+    they leave it undetermined.  Rows beyond the first independent ones
+    are not checked."""
+    n = len(rows[0])
     work = [row[:] + [value] for row, value in zip(rows, rhs)]
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
+        pivot_row = next((r for r in range(col, len(work))
+                          if work[r][col] != 0), None)
         if pivot_row is None:
             return None
         work[col], work[pivot_row] = work[pivot_row], work[col]
         pivot = work[col][col]
         work[col] = [value / pivot for value in work[col]]
-        for r in range(n):
+        for r in range(len(work)):
             if r != col and work[r][col] != 0:
                 factor = work[r][col]
                 work[r] = [a - factor * b
@@ -261,7 +264,7 @@ def _vertices(factor: Factor) -> list[tuple[Fraction, ...]]:
     for subset in itertools.combinations(range(len(facets)), factor.dim):
         rows = [list(map(Fraction, facets[i].normal)) for i in subset]
         rhs = [facets[i].offset for i in subset]
-        solution = _solve_square(rows, rhs)
+        solution = _solve(rows, rhs)
         if solution is None:
             continue
         if all(s >= 0 for s in factor.slacks(solution)):
@@ -286,48 +289,82 @@ def _blocks(factor: Factor) -> list[tuple[list[int], Factor]]:
     return blocks
 
 
+def _model_blocks(model: MomentModel) -> list[tuple[list[int], Factor]]:
+    """The blocks of every factor, each with its product coordinates."""
+    return [([start + i for i in coords], block)
+            for start, factor in model._placed()
+            for coords, block in _blocks(factor)]
+
+
+def _balanced_point(block: Factor) -> tuple[Fraction, ...] | None:
+    """The point where every facet of the block has one area s > 0, when
+    the block's normals sum to zero and <n_j, u> - c_j = s fixes (u, s);
+    None otherwise.  There the block's facets share one area and their
+    normals cancel, so the block adds no nonzero summed normal at any
+    level."""
+    facets = block.facets
+    if not facets or any(map(sum, zip(*(f.normal for f in facets)))):
+        return None
+    solution = _solve([[*map(Fraction, f.normal), Fraction(-1)]
+                       for f in facets], [f.offset for f in facets])
+    if solution is None:
+        return None
+    *point, s = solution
+    if s <= 0 or any(area != s for area in block.slacks(point)):
+        return None
+    return tuple(point)
+
+
+def _intervals(blocks: list[tuple[list[int], Factor]], cap
+               ) -> dict[int, tuple[Fraction, Fraction]]:
+    """Exact bounds of the coordinates of ``blocks``, by product
+    coordinate.
+
+    Each coordinate's bounds are read off the vertices of its block,
+    since the vertices of a product are the products of its blocks'
+    vertices.  Directions in which a block recedes along a coordinate
+    axis (every normal component of one sign, as for cylinder factors)
+    are capped by the required ``cap``, checked once every block has
+    vertices.
+    """
+    columns = {}
+    for coords, block in blocks:
+        vertices = _vertices(block)
+        if not vertices:
+            raise EmptyInterior("the polytope has no vertices")
+        for position, i in enumerate(coords):
+            columns[i] = ([v[position] for v in vertices],
+                          [f.normal[position] for f in block.facets])
+    intervals = {}
+    for i in sorted(columns):
+        values, normals = columns[i]
+        lo, hi = min(values), max(values)
+        if all(c >= 0 for c in normals):
+            if cap is None:
+                raise ValueError(f"coordinate {i} is unbounded above; "
+                                 "pass a cap")
+            hi = max(hi, Fraction(cap))
+        if all(c <= 0 for c in normals):
+            if cap is None:
+                raise ValueError(f"coordinate {i} is unbounded below; "
+                                 "pass a cap")
+            lo = min(lo, -Fraction(cap))
+        intervals[i] = (lo, hi)
+    return intervals
+
+
 def coordinate_intervals(model: MomentModel, cap=None
                          ) -> list[tuple[Fraction, Fraction]]:
-    """Exact per-coordinate bounds of the polytope.
-
-    Each coordinate's bounds are read off the vertices of its block (see
-    ``_blocks``) within its factor, since the vertices of a product are
-    the products of its blocks' vertices.  Directions in which the
-    polytope recedes along a coordinate axis (every normal component of
-    one sign, as for cylinder factors) are capped by the required
-    ``cap`` argument.
-    """
-    intervals: list = []
-    for factor in model.factors:
-        bounds: list = [None] * factor.dim
-        for coords, block in _blocks(factor):
-            vertices = _vertices(block)
-            if not vertices:
-                raise EmptyInterior("the polytope has no vertices")
-            for position, i in enumerate(coords):
-                values = [v[position] for v in vertices]
-                bounds[i] = (min(values), max(values))
-        intervals += bounds
-    for start, factor in model._placed():
-        for i in range(factor.dim):
-            lo, hi = intervals[start + i]
-            if all(f.normal[i] >= 0 for f in factor.facets):
-                if cap is None:
-                    raise ValueError(f"coordinate {start + i} is unbounded "
-                                     "above; pass a cap")
-                hi = max(hi, Fraction(cap))
-            if all(f.normal[i] <= 0 for f in factor.facets):
-                if cap is None:
-                    raise ValueError(f"coordinate {start + i} is unbounded "
-                                     "below; pass a cap")
-                lo = min(lo, -Fraction(cap))
-            intervals[start + i] = (lo, hi)
-    return intervals
+    """Exact per-coordinate bounds of the polytope, block by block (see
+    ``_blocks`` and ``_intervals``)."""
+    intervals = _intervals(_model_blocks(model), cap)
+    return [intervals[i] for i in range(model.dim)]
 
 
 @dataclass(frozen=True)
 class ThresholdSearch:
-    """Best fiber found by grid search plus coordinate refinement."""
+    """Best fiber found: balanced blocks at their balanced points, the
+    other coordinates by grid search plus coordinate refinement."""
 
     fiber: tuple[Fraction, ...]
     value: Level
@@ -338,29 +375,41 @@ class ThresholdSearch:
 def optimize_threshold(model: MomentModel, resolution: int = 8,
                        cap=None, refine_rounds: int = 2,
                        trunc: Level | None = None) -> ThresholdSearch:
-    """Maximize the torsion threshold over interior grid fibers.
+    """Maximize the torsion threshold over interior fibers.
 
-    The grid subdivides each coordinate interval into ``resolution``
+    Blocks (see ``_blocks``) have disjoint coordinates, so the threshold
+    of a fiber is the least of its blocks' thresholds.  A block with a
+    balanced point (see ``_balanced_point``) has threshold +inf there,
+    so it is fixed at that point, which is optimal.  The other blocks,
+    cylinders and unbalanced facet blocks, are searched on a grid that
+    subdivides each of their coordinate intervals into ``resolution``
     parts (nested grids, so doubling the resolution never lowers the
-    result).  A fiber of threshold +inf (vanishing covector) short-circuits
-    the search.  Refinement rounds run coordinate descent on
-    successively halved windows around the incumbent.
+    result).  A fiber of threshold +inf short-circuits the search.
+    Refinement rounds run coordinate descent on successively halved
+    windows around the incumbent.  When every block is balanced, the
+    product of balanced points is the one candidate.
     """
     if resolution < 1:
         raise ValueError("resolution must be positive")
-    intervals = coordinate_intervals(model, cap)
+    axes: dict[int, list[Fraction]] = {}
+    searched = []
+    for coords, block in _model_blocks(model):
+        point = _balanced_point(block)
+        if point is None:
+            searched.append((coords, block))
+        else:
+            axes.update((i, [x]) for i, x in zip(coords, point))
+    intervals = _intervals(searched, cap)
+    for i, (lo, hi) in intervals.items():
+        axes[i] = [lo + (hi - lo) * Fraction(j, resolution)
+                   for j in range(1, resolution)]
 
     def evaluate(point) -> Level:
         return torsion_threshold_at(model, point, trunc)
 
     best_point = None
     best_value = None
-    axes = [
-        [lo + (hi - lo) * Fraction(j, resolution)
-         for j in range(1, resolution)]
-        for lo, hi in intervals
-    ]
-    for candidate in itertools.product(*axes):
+    for candidate in itertools.product(*(axes[i] for i in range(model.dim))):
         if not model.is_interior(candidate):
             continue
         value = evaluate(candidate)
@@ -375,8 +424,7 @@ def optimize_threshold(model: MomentModel, resolution: int = 8,
             f"no interior grid point at resolution {resolution}")
 
     for round_index in range(1, refine_rounds + 1):
-        for axis in range(model.dim):
-            lo, hi = intervals[axis]
+        for axis, (lo, hi) in intervals.items():
             window = (hi - lo) / (resolution * 2 ** round_index)
             for step in range(-resolution, resolution + 1):
                 moved = list(best_point)

@@ -231,13 +231,14 @@ def _eliminate(matrix: NovikovMatrix, accumulate: bool):
         pivot = work[k][k]
         pivots.append(pivot.valuation())
 
-        # clear the pivot column with row operations
+        # clear the pivot column with row operations; the pivot row is
+        # zero before column k, so only columns k.. change
         for i in range(matrix.rows):
             if i == k or work[i][k].is_zero():
                 continue
             factor = divide_exact(work[i][k], pivot)
-            work[i] = [work[i][j] - factor * work[k][j]
-                       for j in range(matrix.cols)]
+            work[i][k:] = [work[i][j] - factor * work[k][j]
+                           for j in range(k, matrix.cols)]
             if accumulate:
                 u[i] = [u[i][j] - factor * u[k][j]
                         for j in range(matrix.rows)]
@@ -247,8 +248,7 @@ def _eliminate(matrix: NovikovMatrix, accumulate: bool):
             if j == k or work[k][j].is_zero():
                 continue
             factor = divide_exact(work[k][j], pivot)
-            for i in range(matrix.rows):
-                work[i][j] = work[i][j] - factor * work[i][k]
+            work[k][j] = work[k][j] - factor * pivot
             if accumulate:
                 for i in range(matrix.cols):
                     v[i][j] = v[i][j] - factor * v[i][k]

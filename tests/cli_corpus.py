@@ -3,9 +3,11 @@
 ``corpus(seed, count)`` draws ``torsion``, ``optimize`` and ``polydisk``
 invocations over inline, factor-list JSON and facet JSON models (fibers
 inside, on the boundary of and outside the polytope; ``--trunc``
-absent, ``inf``, p/q or malformed; polydisk n up to 12), and ``snf`` and
-``decompose`` invocations with malformed ``--trunc`` values and complex
-ranks.  The same seed gives the same invocations.  Run
+absent, ``inf``, p/q or malformed; ``optimize --resolution`` 0 to 4,
+or 40 on spheres and CP^k, and ``--refine`` -1 to 2; polydisk n up to
+12), and ``snf`` and ``decompose`` invocations with malformed
+``--trunc`` values and complex ranks.  The same seed gives the same
+invocations.  Run
 
     python tests/cli_corpus.py --compare OLD_SRC NEW_SRC [--seed N] [--count N]
 
@@ -213,25 +215,26 @@ def _facet_file(rng: random.Random, polytope: tuple) -> dict:
 
 
 def _model(rng: random.Random, index: int, max_dim: int
-           ) -> tuple[str, dict, str]:
-    """A --model value, the files it needs, and a fiber for it."""
+           ) -> tuple[str, dict, str, list | None]:
+    """A --model value, the files it needs, a fiber for it, and its
+    factors when it is a well-formed factor model."""
     roll = rng.random()
     name = f"model-{index}.json"
     if roll < 0.08:
-        return rng.choice(BAD_INLINE), {}, "1/2"
+        return rng.choice(BAD_INLINE), {}, "1/2", None
     if roll < 0.14:
-        return f"@{name}", {name: rng.choice(BAD_FACTOR_FILES)}, "1/2"
+        return f"@{name}", {name: rng.choice(BAD_FACTOR_FILES)}, "1/2", None
     if roll < 0.22:
-        return f"@{name}", {name: rng.choice(BAD_FACET_FILES)}, "1/2"
+        return f"@{name}", {name: rng.choice(BAD_FACET_FILES)}, "1/2", None
     if roll < 0.45:
         polytope = rng.choice(POLYTOPES)
         fiber = rng.choice(polytope[3] if rng.random() < 0.8 else polytope[4])
-        return f"@{name}", {name: _facet_file(rng, polytope)}, fiber
+        return f"@{name}", {name: _facet_file(rng, polytope)}, fiber, None
     factors = _factors(rng, max_dim)
     fiber = _fiber(rng, factors)
     if roll < 0.7:
-        return _inline(factors), {}, fiber
-    return f"@{name}", {name: _listing(factors)}, fiber
+        return _inline(factors), {}, fiber, factors
+    return f"@{name}", {name: _listing(factors)}, fiber, factors
 
 
 def _trunc(rng: random.Random) -> list[str]:
@@ -246,7 +249,7 @@ def _trunc(rng: random.Random) -> list[str]:
 
 
 def _torsion(rng: random.Random, index: int) -> Invocation:
-    model, files, fiber = _model(rng, index, max_dim=8)
+    model, files, fiber, _ = _model(rng, index, max_dim=8)
     if rng.random() < 0.04:
         fiber = rng.choice(BAD_NUMBERS)
     return Invocation(["torsion", "--model", model, "--fiber", fiber]
@@ -254,10 +257,17 @@ def _torsion(rng: random.Random, index: int) -> Invocation:
 
 
 def _optimize(rng: random.Random, index: int) -> Invocation:
-    model, files, _ = _model(rng, index, max_dim=3)
-    argv = ["optimize", "--model", model,
-            "--resolution", str(rng.randint(2, 4)),
-            "--refine", str(rng.randint(0, 2))]
+    """Resolution 0, 1, 2-4 or, on a model of spheres and CP^k only, 40;
+    refinement rounds -1 or 0-2."""
+    model, files, _, factors = _model(rng, index, max_dim=3)
+    compact = factors is not None and all(f[0] != "cylinder"
+                                          for f in factors)
+    roll = rng.random()
+    resolution = 0 if roll < 0.05 else 1 if roll < 0.12 else \
+        40 if roll < 0.6 and compact else rng.randint(2, 4)
+    refine = -1 if rng.random() < 0.05 else rng.randint(0, 2)
+    argv = ["optimize", "--model", model, "--resolution", str(resolution),
+            "--refine", str(refine)]
     roll = rng.random()
     if roll < 0.6:
         argv += ["--cap", str(F(rng.randint(1, 12), rng.randint(1, 2)))]

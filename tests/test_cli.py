@@ -9,6 +9,7 @@ import time
 import pytest
 
 import torsionlab
+from torsionlab import toric
 from torsionlab.cli import run
 
 
@@ -318,6 +319,36 @@ def test_malformed_flag_value_names_the_flag_and_exits_2(
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["optimize", "--model", "sphere:1", "--resolution", "0"],
+     "--resolution needs an integer of at least 1; got 0"),
+    (["optimize", "--model", "sphere:1", "--refine", "-1"],
+     "--refine needs an integer of at least 0; got -1"),
+    (["optimize", "--model", "cylinder", "--cap", "0"],
+     "--cap needs a rational above 0; got '0'"),
+    (["torsion", "--model", "sphere:1", "--fiber", "1/2,1/2"],
+     "--fiber has 2 coordinates; the model has dimension 1"),
+    (["verify", "--suite", "hofer", "--seed", "-1"],
+     "--seed needs an integer of at least 0; got -1"),
+    (["verify", "--suite", "hofer", "--tol", "-1"],
+     "--tol needs a finite number above 0; got -1"),
+    (["verify", "--suite", "hofer", "--tol", "nan"],
+     "--tol needs a finite number above 0; got nan"),
+], ids=["optimize-resolution-0", "optimize-refine-negative",
+        "optimize-cap-0", "torsion-fiber-dimension", "verify-seed-negative",
+        "verify-tol-negative", "verify-tol-nan"])
+def test_out_of_range_flag_names_the_flag_and_exits_2(capsys, monkeypatch,
+                                                      argv, message):
+    if argv[0] == "verify":
+        import torsionlab.hamlab
+
+        def no_suite(*args, **kwargs):
+            raise AssertionError("the suite ran")
+        monkeypatch.setattr(torsionlab.hamlab, "run_suite", no_suite)
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["torsion", "--model", "sphere:1", "--fiber", "1/3"],
     ["optimize", "--model", "sphere:1xsphere:1", "--resolution", "3"],
@@ -386,6 +417,29 @@ def test_optimize_equator_is_nondisplaceable(capsys):
     assert "fiber: 1/2, 1/2 (exact)" in out
     assert "value: inf (exact)" in out
     assert "non_displaceable: yes" in out
+
+
+def test_optimize_sphere_product_at_resolution_40_answers_fast(
+        capsys, monkeypatch):
+    # the grid holds 39^4 = 2,313,441 fibers of S2(1)^4; every sphere is
+    # fixed at its equator instead, so one fiber is evaluated
+    calls = []
+    evaluate = toric.torsion_threshold_at
+
+    def counted(*args):
+        calls.append(args)
+        if len(calls) > 1000:
+            raise AssertionError("more than 1,000 fibers evaluated")
+        return evaluate(*args)
+    monkeypatch.setattr(toric, "torsion_threshold_at", counted)
+    started = time.perf_counter()
+    code, out, _ = invoke(capsys, "optimize", "--model",
+                          "x".join(["sphere:1"] * 4),
+                          "--resolution", "40", "--refine", "0")
+    assert time.perf_counter() - started < 1
+    assert code == 0
+    assert "fiber: 1/2, 1/2, 1/2, 1/2 (exact)" in out
+    assert "value: inf (exact)" in out
 
 
 def test_torsion_at_infinite_truncation_answers(capsys):

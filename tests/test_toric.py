@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grid_oracle import grid_search
 from koszul import koszul_complex
 from torsionlab import toric
 from torsionlab.errors import EmptyInterior, FiberOnBoundary
@@ -30,7 +31,7 @@ from torsionlab.toric import (
     sphere_factor,
     torsion_threshold_at,
 )
-from torsionlab.valmat import decompose, torsion_threshold
+from torsionlab.valmat import ModuleDecomposition, decompose, torsion_threshold
 
 
 def dense(model: MomentModel) -> MomentModel:
@@ -527,18 +528,17 @@ def test_vertices_are_enumerated_one_factor_at_a_time(monkeypatch):
     # S2(1)^10 is ten blocks of two facets, so two systems each; one
     # enumeration over the whole polytope solves C(20, 10) = 184,756
     calls = []
-    solve = toric._solve_square
+    solve = toric._solve
 
     def counted(rows, rhs):
         calls.append(len(rows))
         if len(calls) > 1000:
             raise AssertionError("more than 1,000 systems solved")
         return solve(rows, rhs)
-    monkeypatch.setattr(toric, "_solve_square", counted)
+    monkeypatch.setattr(toric, "_solve", counted)
     model = product(*[sphere_factor(1)] * 10)
-    result = optimize_threshold(model, resolution=2, refine_rounds=0)
+    assert coordinate_intervals(model) == [(F(0), F(1))] * 10
     assert calls == [1] * 20
-    assert result.fiber == (F(1, 2),) * 10 and is_infinite(result.value)
 
 
 def test_optimize_equator_short_circuit():
@@ -556,10 +556,15 @@ def test_optimize_product_equators():
 
 
 def test_optimize_grid_values_without_refinement():
-    assert optimize_threshold(sphere_factor(1), resolution=3,
-                              refine_rounds=0).value == F(1, 3)
-    assert optimize_threshold(sphere_factor(1), resolution=9,
-                              refine_rounds=0).value == F(4, 9)
+    # the sphere sits at its equator, off every odd grid; only the
+    # cylinder coordinate takes grid values
+    assert is_infinite(optimize_threshold(sphere_factor(1), resolution=3,
+                                          refine_rounds=0).value)
+    model = product(sphere_factor(1), cylinder_factor())
+    coarse = optimize_threshold(model, resolution=3, cap=1, refine_rounds=0)
+    assert coarse.fiber == (F(1, 2), F(2, 3)) and coarse.value == F(2, 3)
+    assert optimize_threshold(model, resolution=9, cap=1,
+                              refine_rounds=0).value == F(8, 9)
 
 
 def test_optimize_refinement_finds_equator_from_odd_grid():
@@ -589,7 +594,100 @@ def test_optimize_cylinder_pushes_to_cap():
 
 def test_optimize_empty_grid():
     with pytest.raises(EmptyInterior):
-        optimize_threshold(sphere_factor(1), resolution=1, refine_rounds=0)
+        optimize_threshold(cylinder_factor(), resolution=1, cap=2,
+                           refine_rounds=0)
+
+
+# two-dimensional facet blocks for the optimizer property
+OPTIMIZER_BLOCKS = (
+    # normals summing to zero: CP^2's triangle and a hexagon
+    ((1, 0), (0, 1), (-1, -1)),
+    ((1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1)),
+    # normals that do not: CP^2 blown up at a point, a pentagon, and C^2
+    # blown up at the origin, which is unbounded
+    ((1, 0), (0, 1), (-1, -1), (1, 1)),
+    ((1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)),
+    ((1, 0), (1, 1), (0, 1)),
+)
+
+
+@st.composite
+def optimizer_cases(draw):
+    """A product of spheres, CP^1, CP^2, cylinders and facet blocks of
+    dimension at most 4, with a resolution, refinement rounds, a
+    truncation and a cap, and whether every factor is balanced (see
+    ``toric._balanced_point``) by construction.  A facet block puts
+    every facet at one area s from a drawn point, each facet shifted now
+    and then; s may be 0 or negative, which leaves a block whose normals
+    sum to zero a point or empty."""
+    factors, dim = [], 0
+    balanced = True
+    while not factors or (dim < 4 and draw(st.booleans())):
+        kind = draw(st.sampled_from(("sphere", "cp", "cylinder", "facets",
+                                     "facets")))
+        if kind == "facets" and dim > 2:
+            kind = "sphere"
+        if kind == "sphere":
+            area = F(draw(st.integers(1, 8)), draw(st.integers(1, 3)))
+            factors.append(sphere_factor(area))
+            dim += 1
+        elif kind == "cp":
+            k = draw(st.integers(1, min(2, 4 - dim)))
+            size = F(draw(st.integers(1, 8)), draw(st.integers(1, 2)))
+            factors.append(projective_factor(k, size))
+            dim += k
+        elif kind == "cylinder":
+            factors.append(cylinder_factor())
+            dim += 1
+            balanced = False
+        else:
+            normals = draw(st.sampled_from(OPTIMIZER_BLOCKS))
+            point = [F(draw(st.integers(-4, 4)), 2) for _ in range(2)]
+            area = F(draw(st.integers(-2, 4)), 2)
+            shifts = [draw(st.sampled_from((0, 0, 0, F(1, 2), F(-1, 2))))
+                      for _ in normals]
+            factors.append(facet_model(2, [
+                (normal, sum(c * x for c, x in zip(normal, point)) - area
+                 + shift) for normal, shift in zip(normals, shifts)]))
+            dim += 2
+            balanced &= area > 0 and not any(shifts) and not any(
+                map(sum, zip(*normals)))
+    resolution = draw(st.integers(1, 4))
+    refine = draw(st.integers(0, 2))
+    trunc = draw(st.sampled_from(
+        (None, INFINITE, F(draw(st.integers(1, 16)), 4))))
+    cap = draw(st.sampled_from((None, F(1), F(7, 2))))
+    return product(*factors), resolution, refine, trunc, cap, balanced
+
+
+@settings(max_examples=300)
+@given(optimizer_cases())
+def test_optimizer_never_below_the_grid_and_true_at_its_fiber(case):
+    model, resolution, refine, trunc, cap, balanced = case
+
+    def search(optimizer):
+        return outcome(lambda: optimizer(model, resolution=resolution,
+                                         cap=cap, refine_rounds=refine,
+                                         trunc=trunc))
+    expected = search(grid_search)
+    found = search(optimize_threshold)
+    grid_missed = isinstance(expected, tuple) and \
+        expected[1].startswith("no interior grid point")
+    if isinstance(found, tuple) or (isinstance(expected, tuple)
+                                    and not grid_missed):
+        # every refusal but a grid without interior points stays as it was
+        assert found == expected
+        return
+    if not grid_missed:
+        assert found.value >= expected.value
+    # a product of balanced blocks has a free fiber (FOOO, arXiv:0802.1703)
+    assert is_infinite(found.value) or not balanced
+    assert model.is_interior(found.fiber)
+    assert found.value == torsion_threshold_at(model, found.fiber, trunc)
+    assert found.non_displaceable == is_infinite(found.value)
+    if found.non_displaceable:
+        assert decompose(koszul_complex(model, found.fiber, trunc)) == \
+            ModuleDecomposition(betti=2 ** model.dim, torsion=())
 
 
 # -- serialization --------------------------------------------------------
