@@ -247,6 +247,10 @@ def _cmd_snf(args) -> tuple[Report, int]:
 
 
 def _cmd_decompose(args) -> tuple[Report, int]:
+    norm = _number(args.hofer, "--hofer")
+    if norm is not None and norm <= 0:
+        raise ValueError(f"--hofer needs a rational above 0; "
+                         f"got {args.hofer!r}")
     with open(args.complex, encoding="utf-8") as handle:
         data = json.load(handle)
     complex_ = complex_from_json(data, trunc=_parse_trunc(args.trunc))
@@ -258,8 +262,7 @@ def _cmd_decompose(args) -> tuple[Report, int]:
     report.add("torsion", [exact_number(v)
                            for v in decomposition.torsion])
     report.add("threshold", exact_number(threshold))
-    if args.hofer is not None:
-        norm = _number(args.hofer, "--hofer")
+    if norm is not None:
         report.add("hofer_norm", str(norm))
         report.add("surviving_torsion", b_count(decomposition, norm))
         report.add("intersection_bound",

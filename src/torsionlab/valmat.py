@@ -140,21 +140,31 @@ class NovikovMatrix:
 class SmithNormalForm:
     """u * matrix * v = diagonal, with u, v invertible over the subring.
 
-    The normal form keeps only the diagonal and the pivots; u and v are
-    computed from the source matrix on first read.
+    The normal form keeps the pivots of a forward elimination.  The
+    diagonal is built from them, and u and v from the source matrix by a
+    two-sided elimination, each on first read.
     """
 
-    diagonal: NovikovMatrix
     pivot_valuations: tuple[Fraction, ...]
-    _source: NovikovMatrix = field(repr=False, compare=False)
+    _pivots: tuple[NovikovElement, ...] = field(repr=False, compare=False)
+    _source: NovikovMatrix = field(repr=False)
 
     @property
     def rank(self) -> int:
         return len(self.pivot_valuations)
 
     @cached_property
+    def diagonal(self) -> NovikovMatrix:
+        source = self._source
+        zero = NovikovElement.zero(source.trunc)
+        grid = [[zero] * source.cols for _ in range(source.rows)]
+        for k, pivot in enumerate(self._pivots):
+            grid[k][k], = _over_leading_coefficient((pivot,), pivot)
+        return NovikovMatrix(grid, source.trunc, shape=source.shape)
+
+    @cached_property
     def _transforms(self) -> tuple[NovikovMatrix, NovikovMatrix]:
-        _, _, u, v = _eliminate(self._source, accumulate=True)
+        _, _, u, v = _eliminate(self._source)
         return NovikovMatrix(u), NovikovMatrix(v)
 
     @cached_property
@@ -166,67 +176,114 @@ class SmithNormalForm:
         return self._transforms[1]
 
 
+def _pivot_position(work, k: int, rows: int, cols: int):
+    """The entry of smallest valuation in the block from (k, k), ties
+    broken by lowest (row, col); None when the block vanishes."""
+    pivot_pos = None
+    pivot_order = INFINITE
+    for i in range(k, rows):
+        row = work[i]
+        for j in range(k, cols):
+            order = _order(row[j])
+            if order < pivot_order:
+                pivot_order = order
+                pivot_pos = (i, j)
+    return pivot_pos
+
+
 def smith_normal_form(matrix: NovikovMatrix) -> SmithNormalForm:
     """Diagonalize by valuation pivoting.
 
     Each round picks the entry of smallest valuation in the remaining
-    block (ties broken by lowest (row, col)), moves it to the diagonal,
-    and clears its row and column by exact division, which always
-    succeeds because the pivot's valuation is minimal.  Diagonal entries
-    come out with non-decreasing valuations and leading coefficient one.
+    block (ties broken by lowest (row, col)), moves it to (k, k) and
+    clears the rows below it by exact division, which always succeeds
+    because the pivot's valuation is minimal.  Pivot valuations come out
+    non-decreasing; the diagonal entries are the pivots over their
+    leading coefficients.
     """
-    work, pivots, _, _ = _eliminate(matrix, accumulate=False)
+    pivots = _forward(matrix)
     return SmithNormalForm(
-        diagonal=NovikovMatrix(work, matrix.trunc),
-        pivot_valuations=tuple(pivots),
+        pivot_valuations=tuple(p.valuation() for p in pivots),
+        _pivots=tuple(pivots),
         _source=matrix,
     )
 
 
-def _eliminate(matrix: NovikovMatrix, accumulate: bool):
-    """The elimination behind smith_normal_form.  Returns the reduced
-    grid, the pivot valuations and, when ``accumulate``, the row and
-    column transforms u and v as grids (None otherwise)."""
-    work = [list(row) for row in matrix.entries]
-    # every entry is stored over this denominator; the transforms are
-    # brought to it too, so no ring operation below rescales
-    den = _common_denominator(value for row in work for value in row)
-    u = v = None
-    if accumulate:
-        u = [[_rescaled(value, den) for value in row] for row in
-             NovikovMatrix.identity(matrix.rows).entries]
-        v = [[_rescaled(value, den) for value in row] for row in
-             NovikovMatrix.identity(matrix.cols).entries]
-    pivots: list[Fraction] = []
+def _forward(matrix: NovikovMatrix) -> list[NovikovElement]:
+    """The pivots of the forward elimination behind smith_normal_form.
 
-    for k in range(min(matrix.rows, matrix.cols)):
-        pivot_pos = None
-        pivot_order = INFINITE
-        for i in range(k, matrix.rows):
-            row = work[i]
-            for j in range(k, matrix.cols):
-                order = _order(row[j])
-                if order < pivot_order:
-                    pivot_order = order
-                    pivot_pos = (i, j)
+    Row i loses (a_ik / pivot) times the pivot row over the columns after
+    k.  Clearing the pivot row as well, as ``_eliminate`` does, is a
+    column operation that changes only that row, so it moves neither the
+    remaining block nor the pivots and is left out.
+    """
+    work = [list(row) for row in matrix.entries]
+    rows, cols = matrix.rows, matrix.cols
+    # at infinite truncation a quotient that is an infinite series
+    # raises; dividing the pivot row raises where _eliminate does
+    exact = matrix.trunc == INFINITE
+    pivots: list[NovikovElement] = []
+    for k in range(min(rows, cols)):
+        pivot_pos = _pivot_position(work, k, rows, cols)
         if pivot_pos is None:
             break
         pi, pj = pivot_pos
         if pi != k:
             work[k], work[pi] = work[pi], work[k]
-            if accumulate:
-                u[k], u[pi] = u[pi], u[k]
+        if pj != k:
+            # rows above k are never read again
+            for row in work[k:]:
+                row[k], row[pj] = row[pj], row[k]
+        pivot_row = work[k]
+        pivot = pivot_row[k]
+        pivots.append(pivot)
+        # a zero of the pivot row leaves its column unchanged
+        support = [j for j in range(k + 1, cols) if pivot_row[j]]
+        if exact:
+            for j in support:
+                divide_exact(pivot_row[j], pivot)
+        for i in range(k + 1, rows):
+            row = work[i]
+            if row[k].is_zero():
+                continue
+            factor = divide_exact(row[k], pivot)
+            for j in support:
+                row[j] = row[j] - factor * pivot_row[j]
+    return pivots
+
+
+def _eliminate(matrix: NovikovMatrix):
+    """The two-sided elimination behind ``SmithNormalForm.u`` and ``.v``:
+    the pivoting of smith_normal_form, clearing both the pivot column and
+    the pivot row.  Returns the reduced grid, the pivot valuations and
+    the row and column transforms u and v as grids."""
+    work = [list(row) for row in matrix.entries]
+    # every entry is stored over this denominator; the transforms are
+    # brought to it too, so no ring operation below rescales
+    den = _common_denominator(value for row in work for value in row)
+    u = [[_rescaled(value, den) for value in row] for row in
+         NovikovMatrix.identity(matrix.rows).entries]
+    v = [[_rescaled(value, den) for value in row] for row in
+         NovikovMatrix.identity(matrix.cols).entries]
+    pivots: list[Fraction] = []
+
+    for k in range(min(matrix.rows, matrix.cols)):
+        pivot_pos = _pivot_position(work, k, matrix.rows, matrix.cols)
+        if pivot_pos is None:
+            break
+        pi, pj = pivot_pos
+        if pi != k:
+            work[k], work[pi] = work[pi], work[k]
+            u[k], u[pi] = u[pi], u[k]
         if pj != k:
             for row in work:
                 row[k], row[pj] = row[pj], row[k]
-            if accumulate:
-                for row in v:
-                    row[k], row[pj] = row[pj], row[k]
+            for row in v:
+                row[k], row[pj] = row[pj], row[k]
 
         pivot = work[k][k]
         # normalize the leading coefficient to 1
-        if accumulate:
-            u[k] = _over_leading_coefficient(u[k], pivot)
+        u[k] = _over_leading_coefficient(u[k], pivot)
         work[k] = _over_leading_coefficient(work[k], pivot)
         pivot = work[k][k]
         pivots.append(pivot.valuation())
@@ -239,9 +296,7 @@ def _eliminate(matrix: NovikovMatrix, accumulate: bool):
             factor = divide_exact(work[i][k], pivot)
             work[i][k:] = [work[i][j] - factor * work[k][j]
                            for j in range(k, matrix.cols)]
-            if accumulate:
-                u[i] = [u[i][j] - factor * u[k][j]
-                        for j in range(matrix.rows)]
+            u[i] = [u[i][j] - factor * u[k][j] for j in range(matrix.rows)]
         # the pivot column is now zero off the diagonal, so clearing the
         # pivot row only changes the row itself
         for j in range(matrix.cols):
@@ -249,9 +304,8 @@ def _eliminate(matrix: NovikovMatrix, accumulate: bool):
                 continue
             factor = divide_exact(work[k][j], pivot)
             work[k][j] = work[k][j] - factor * pivot
-            if accumulate:
-                for i in range(matrix.cols):
-                    v[i][j] = v[i][j] - factor * v[i][k]
+            for i in range(matrix.cols):
+                v[i][j] = v[i][j] - factor * v[i][k]
 
     return work, pivots, u, v
 

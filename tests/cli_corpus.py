@@ -5,8 +5,12 @@ invocations over inline, factor-list JSON and facet JSON models (fibers
 inside, on the boundary of and outside the polytope; ``--trunc``
 absent, ``inf``, p/q or malformed; ``optimize --resolution`` 0 to 4,
 or 40 on spheres and CP^k, and ``--refine`` -1 to 2; polydisk n up to
-12), and ``snf`` and ``decompose`` invocations with malformed
-``--trunc`` values and complex ranks.  The same seed gives the same
+12), and ``snf`` and ``decompose`` invocations on seeded matrix and
+complex JSON files (A06-palette, long and negative-exponent entries,
+zero and repeated rows, Koszul complexes of two elements; malformed
+entries, shapes, ranks and compositions; series pivots that exhaust
+precision at infinite truncation; ``--trunc`` absent, ``inf``, p/q or
+malformed, and ``decompose --hofer``).  The same seed gives the same
 invocations.  Run
 
     python tests/cli_corpus.py --compare OLD_SRC NEW_SRC [--seed N] [--count N]
@@ -83,13 +87,22 @@ BAD_INLINE = ("cp:a:3", "sphere:1/0", "sphere:", "torus:1", "cp:2",
 
 BAD_NUMBERS = ("abc", "1/0", "", "1.5.2")
 
-MATRIX = {"rows": 2, "cols": 2,
-          "entries": [["T(1/2) + T(1)", "2"], ["0", "T(2)"]]}
+# the A06 palette, long entries, negative exponents and a unit whose
+# quotients are infinite series (exit 3 at infinite truncation)
+ENTRIES = ("0", "0", "1", "-1", "2", "1/2", "T(1/2)", "T(1)", "3*T(3/2)",
+           "1 + T(1)", "T(1/2) - T(3/2)", "-2*T(1) + T(2)",
+           "1 - 1/2*T(1/4) + T(2)", "2*T(1/2) - T(3/4) + 3*T(9/4)",
+           "T(-1/2) + 3*T(1)", "1/3*T(-1)", "1 - T(1)")
 
-COMPLEXES = (
-    {"ranks": [2, 2], "differentials": [
-        {"rows": 2, "cols": 2, "entries": [["T(1)", "0"], ["0", "T(1)"]]}],
-     "trunc": "4"},
+BAD_ENTRIES = ("T(", "abc", "T(1/0)", "2*T(1/2", None, 1.5, [1])
+
+# (x, -x) pairs for Koszul complexes of two elements
+SIGNED = (("T(1)", "-T(1)"), ("2", "-2"), ("1 + T(1)", "-1 - T(1)"),
+          ("T(1/2) - T(3/2)", "-T(1/2) + T(3/2)"),
+          ("1/3*T(-1)", "-1/3*T(-1)"), ("1 - T(1)", "-1 + T(1)"),
+          ("0", "0"))
+
+BAD_RANKS = (
     {"ranks": [1.5, 1], "differentials": [
         {"rows": 1, "cols": 1, "entries": [["T(1)"]]}]},
     {"ranks": ["1", True], "differentials": [
@@ -297,18 +310,73 @@ def _polydisk(rng: random.Random) -> Invocation:
     return Invocation(argv + _trunc(rng))
 
 
+def _matrix(rng: random.Random) -> dict:
+    """A matrix JSON of up to 4 x 4 entries, a row of zeros or a
+    repeated row at times, one in ten malformed."""
+    rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+    grid = [[rng.choice(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and rng.random() < 0.3:
+        grid[rng.randrange(rows)] = (["0"] * cols if rng.random() < 0.5
+                                     else list(grid[0]))
+    data = {"rows": rows, "cols": cols, "entries": grid}
+    roll = rng.random()
+    if roll < 0.05:
+        grid[rng.randrange(rows)][rng.randrange(cols)] = \
+            rng.choice(BAD_ENTRIES)
+    elif roll < 0.07:
+        grid[-1].append("1")
+    elif roll < 0.09:
+        data["rows"] = rows + 1
+    elif roll < 0.1:
+        del data["entries"]
+    return data
+
+
+def _complex(rng: random.Random) -> dict:
+    """A one-differential complex, the Koszul complex of two elements
+    (or, one time in ten, two differentials that do not compose to
+    zero), or a complex with malformed ranks."""
+    roll = rng.random()
+    if roll < 0.08:
+        return rng.choice(BAD_RANKS)
+    if roll < 0.5:
+        d0 = _matrix(rng)
+        return {"ranks": [d0.get("cols", 1), d0.get("rows", 1)],
+                "differentials": [d0]}
+    (x, minus_x), (y, minus_y) = rng.choice(SIGNED), rng.choice(SIGNED)
+    first = y if rng.random() < 0.1 else minus_y
+    return {"ranks": [1, 2, 1], "differentials": [
+        {"rows": 2, "cols": 1, "entries": [[x], [y]]},
+        {"rows": 1, "cols": 2, "entries": [[first, x]]}]}
+
+
+def _exact_trunc(rng: random.Random) -> list[str]:
+    """--trunc absent, inf, finite or malformed."""
+    roll = rng.random()
+    if roll < 0.3:
+        return []
+    if roll < 0.45:
+        return ["--trunc", "inf"]
+    if roll < 0.85:
+        return ["--trunc", rng.choice(("1/2", "1", "3", "4", "6", "25/4"))]
+    return ["--trunc", rng.choice(BAD_NUMBERS + ("0", "-1"))]
+
+
 def _exact(rng: random.Random) -> Invocation:
-    """snf or decompose, mostly with a malformed --trunc or ranks."""
-    trunc = ["--trunc", rng.choice(BAD_NUMBERS + ("inf", "3", "-1"))]
+    """snf on a seeded matrix JSON or decompose on a seeded complex
+    JSON; a file's own level, when present, is finite, inf or 0."""
     if rng.random() < 0.5:
-        return Invocation(["snf", "--matrix", "@matrix.json"] + trunc,
-                          {"matrix.json": MATRIX})
-    argv = ["decompose", "--complex", "@complex.json"]
-    if rng.random() < 0.5:
-        argv += trunc
-    if rng.random() < 0.3:
-        argv += ["--hofer", rng.choice(("1/2",) + BAD_NUMBERS)]
-    return Invocation(argv, {"complex.json": rng.choice(COMPLEXES)})
+        name, data = "matrix.json", _matrix(rng)
+        argv = ["snf", "--matrix", f"@{name}"]
+    else:
+        name, data = "complex.json", _complex(rng)
+        argv = ["decompose", "--complex", f"@{name}"]
+        if rng.random() < 0.3:
+            argv += ["--hofer",
+                     rng.choice(("1/2", "2", "0", "-1") + BAD_NUMBERS)]
+    if rng.random() < 0.2:
+        data = dict(data, trunc=rng.choice(("3", "11/2", "inf", "0")))
+    return Invocation(argv + _exact_trunc(rng), {name: data})
 
 
 def corpus(seed: int = 0, count: int = 600) -> list[Invocation]:

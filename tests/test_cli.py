@@ -334,9 +334,15 @@ def test_malformed_flag_value_names_the_flag_and_exits_2(
      "--tol needs a finite number above 0; got -1"),
     (["verify", "--suite", "hofer", "--tol", "nan"],
      "--tol needs a finite number above 0; got nan"),
+    # refused before the complex file is opened
+    (["decompose", "--complex", "no-such-complex.json", "--hofer", "0"],
+     "--hofer needs a rational above 0; got '0'"),
+    (["decompose", "--complex", "no-such-complex.json", "--hofer=-1/2"],
+     "--hofer needs a rational above 0; got '-1/2'"),
 ], ids=["optimize-resolution-0", "optimize-refine-negative",
         "optimize-cap-0", "torsion-fiber-dimension", "verify-seed-negative",
-        "verify-tol-negative", "verify-tol-nan"])
+        "verify-tol-negative", "verify-tol-nan", "decompose-hofer-0",
+        "decompose-hofer-negative"])
 def test_out_of_range_flag_names_the_flag_and_exits_2(capsys, monkeypatch,
                                                       argv, message):
     if argv[0] == "verify":

@@ -16,6 +16,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torsionlab import novikov, valmat
 from torsionlab.cli import run
@@ -205,8 +206,8 @@ def test_snf_pivots_and_diagonal_same_whether_transforms_read_or_not():
         assert read_first.pivot_valuations == untouched.pivot_valuations
         assert read_first.diagonal == untouched.diagonal
         assert read_first == untouched
-        # the accumulating rerun reproduces the same diagonal
-        work, pivots, _, _ = valmat._eliminate(m, accumulate=True)
+        # the two-sided elimination reproduces the same diagonal
+        work, pivots, _, _ = valmat._eliminate(m)
         assert NovikovMatrix(work, m.trunc) == untouched.diagonal
         assert tuple(pivots) == untouched.pivot_valuations
 
@@ -219,6 +220,54 @@ def test_snf_lazy_transforms_recompose_long_entries():
         v = form.v              # read v before u
         recomposed = form.u * m * v
         assert (recomposed - form.diagonal).is_zero_below_truncation()
+
+
+# negative exponents, mixed denominators, leading coefficients other than
+# one, and units whose quotients are infinite series
+FORWARD_ENTRIES = ["0", "1", "-2", "T(1)", "1 - T(1)", "T(-1)", "T(1/2)",
+                   "1/2*T(1/3) - T(2)", "3*T(-1/2) + T(1)", "2/3 - 5*T(3/4)",
+                   "1 + T(1/4) + 1/2*T(5/2)", "-T(1/2) + 7/5*T(9/4)"]
+FORWARD_LEVELS = [None, INFINITE, F(1), F(5, 2), F(4), F(6)]
+
+
+@st.composite
+def forward_cases(draw):
+    """A 1-6 x 1-6 grid of entry texts, some rows zero or repeated, and
+    a level: absent, infinite or finite."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    row = st.lists(st.sampled_from(FORWARD_ENTRIES), min_size=cols,
+                   max_size=cols)
+    grid = [draw(row) for _ in range(rows)]
+    for i in range(rows):
+        how = draw(st.sampled_from(("keep", "keep", "keep", "zero", "copy")))
+        if how == "zero":
+            grid[i] = ["0"] * cols
+        elif how == "copy":
+            grid[i] = list(grid[draw(st.integers(0, rows - 1))])
+    return grid, draw(st.sampled_from(FORWARD_LEVELS))
+
+
+def texts(m):
+    return [[to_text(value) for value in row] for row in m.entries]
+
+
+@settings(max_examples=150)
+@given(forward_cases())
+def test_forward_pass_matches_two_sided_elimination(case):
+    # the two-sided elimination that u and v come from is the oracle
+    m = matrix(*case)
+    try:
+        work, pivots, _, _ = valmat._eliminate(m)
+    except PrecisionExhausted:
+        with pytest.raises(PrecisionExhausted):
+            smith_normal_form(m)
+        return
+    form = smith_normal_form(m)
+    oracle = NovikovMatrix(work, m.trunc)
+    assert form.pivot_valuations == tuple(pivots)
+    assert form.rank == len(pivots)
+    assert texts(form.diagonal) == texts(oracle)
+    assert form.diagonal.trunc == oracle.trunc
 
 
 def test_matrix_entries_share_one_denominator_and_elimination_never_rescales(
@@ -239,40 +288,45 @@ def test_matrix_entries_share_one_denominator_and_elimination_never_rescales(
     assert rescales == []
 
 
-def counting_elimination(monkeypatch):
+def counting_eliminations(monkeypatch):
+    """The list that records, in order, each forward and each two-sided
+    elimination run."""
     calls = []
-    original = valmat._eliminate
-
-    def wrapper(m, accumulate):
-        calls.append(accumulate)
-        return original(m, accumulate)
-    monkeypatch.setattr(valmat, "_eliminate", wrapper)
+    for name, label in (("_forward", "forward"), ("_eliminate", "two-sided")):
+        def counted(m, _original=getattr(valmat, name), _label=label):
+            calls.append(_label)
+            return _original(m)
+        monkeypatch.setattr(valmat, name, counted)
     return calls
 
 
 def test_snf_reading_pivots_runs_one_elimination(monkeypatch):
-    calls = counting_elimination(monkeypatch)
+    calls = counting_eliminations(monkeypatch)
     m = matrix([["T(1)", "1 - T(1)", "0"], ["T(1/2)", "T(2)", "1"]], F(6))
-    form = smith_normal_form(m)
-    assert form.pivot_valuations == (F(0), F(0))
-    assert form.rank == 2
-    assert len(form.diagonal.diagonal()) == 2
-    assert calls == [False]
-    u = form.u
-    assert calls == [False, True]
-    assert form.v is not None and form.u is u
-    assert calls == [False, True]
+    for first, second in (("u", "v"), ("v", "u")):
+        calls.clear()
+        form = smith_normal_form(m)
+        assert form.pivot_valuations == (F(0), F(0))
+        assert form.rank == 2
+        assert len(form.diagonal.diagonal()) == 2
+        assert form.diagonal is form.diagonal
+        assert calls == ["forward"]
+        transform = getattr(form, first)
+        assert calls == ["forward", "two-sided"]
+        assert getattr(form, second) is not None
+        assert getattr(form, first) is transform
+        assert calls == ["forward", "two-sided"]
 
 
 def test_snf_command_runs_one_elimination(monkeypatch, tmp_path, capsys):
-    calls = counting_elimination(monkeypatch)
+    calls = counting_eliminations(monkeypatch)
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps(
         {"rows": 2, "cols": 2, "entries": [["T(1/2) + T(1)", "2"],
                                            ["0", "T(2)"]]}))
     assert run(["snf", "--matrix", str(path)]) == 0
     assert "pivot_valuations: 0, 5/2 (exact)" in capsys.readouterr().out
-    assert calls == [False]
+    assert calls == ["forward"]
 
 
 def test_snf_needs_finite_trunc_for_series_quotients():
