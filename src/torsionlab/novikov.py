@@ -537,37 +537,46 @@ _TERM_PATTERN = re.compile(
 )
 
 
-def _format_term(coeff: Fraction, t_exp: Fraction) -> str:
-    parts = []
-    if t_exp != 0:
-        parts.append(f"T({t_exp})")
-    magnitude = abs(coeff)
-    if magnitude != 1 or not parts:
-        parts.insert(0, str(magnitude))
-    return "*".join(parts)
-
-
 def to_text(x: NovikovElement) -> str:
-    if not x.terms:
+    """The canonical text of x, read straight from its integer form:
+    each coefficient is |numerator| / scale and each exponent is
+    exponent / denominator, brought to lowest terms by one gcd each, so
+    they print as their Fractions would."""
+    terms = x._terms
+    if not terms:
         return "0"
-    pieces = []
-    for index, (coeff, t_exp) in enumerate(x.terms):
-        body = _format_term(coeff, t_exp)
-        if index == 0:
-            pieces.append(body if coeff > 0 else f"-{body}")
+    scale, den = x._scale, x._den
+    pieces: list[str] = []
+    for c, e in terms:
+        magnitude = -c if c < 0 else c
+        if magnitude != scale:
+            g = math.gcd(magnitude, scale)
+            body = (str(magnitude // g) if g == scale
+                    else f"{magnitude // g}/{scale // g}")
         else:
-            pieces.append(f"{'+' if coeff > 0 else '-'} {body}")
+            body = "" if e else "1"
+        if e:
+            g = math.gcd(e, den)
+            power = f"T({e // g})" if g == den else f"T({e // g}/{den // g})"
+            body = f"{body}*{power}" if body else power
+        if pieces:
+            pieces.append(f"- {body}" if c < 0 else f"+ {body}")
+        else:
+            pieces.append(f"-{body}" if c < 0 else body)
     return " ".join(pieces)
 
 
 def _split_terms(text: str) -> list[tuple[int, str]]:
     """Split into (sign, body) summands at top-level + and - signs.
 
-    Signs inside parentheses, as in T(-1), never split a term.
+    Signs inside parentheses, as in T(-1), never split a term.  Every
+    sign must be followed by a term: a sign at the end, or two signs in
+    a row, is refused.
     """
     pieces: list[tuple[int, str]] = []
     depth = 0
     sign = 1
+    signed = False
     body: list[str] = []
     has_content = False
     for char in text:
@@ -582,19 +591,19 @@ def _split_terms(text: str) -> list[tuple[int, str]]:
                 pieces.append((sign, "".join(body)))
                 body = []
                 has_content = False
-                sign = 1
-            if char == "-":
-                sign = -sign
+            elif signed:
+                raise ValueError(f"dangling sign or empty term in {text!r}")
+            sign = -1 if char == "-" else 1
+            signed = True
             continue
         if not char.isspace():
             has_content = True
         body.append(char)
     if depth != 0:
         raise ValueError(f"unbalanced parentheses in {text!r}")
-    if has_content:
-        pieces.append((sign, "".join(body)))
-    elif sign != 1 or not pieces:
+    if not has_content:
         raise ValueError(f"dangling sign or empty term in {text!r}")
+    pieces.append((sign, "".join(body)))
     return pieces
 
 
@@ -624,11 +633,12 @@ def from_text(text: str, trunc: Level = INFINITE) -> NovikovElement:
 
 
 def parse(value, trunc: Level = INFINITE) -> NovikovElement:
-    """Liberal constructor: element, text, int, Fraction."""
+    """Liberal constructor: element, text, int, Fraction.  A bool is
+    refused although it is an int: a JSON ``true`` is not 1."""
     if isinstance(value, NovikovElement):
         return value.retruncate(trunc)
     if isinstance(value, str):
         return from_text(value, trunc)
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return NovikovElement.monomial(value, trunc=trunc)
     raise TypeError(f"cannot interpret {value!r} as a Novikov element")

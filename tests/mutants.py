@@ -40,6 +40,8 @@ class Mutant:
 
 FORWARD_PROPERTY = ("tests/test_valmat.py::"
                     "test_forward_pass_matches_two_sided_elimination")
+RENDERER_PROPERTY = ("tests/test_novikov.py::"
+                     "test_to_text_matches_the_fraction_renderer")
 OPTIMIZER_PROPERTY = ("tests/test_toric.py::"
                       "test_optimizer_never_below_the_grid_and_true_at_its_fiber")
 
@@ -57,6 +59,13 @@ MUTANTS = (
            "torsionlab/valmat.py",
            "grid[k][k], = _over_leading_coefficient((pivot,), pivot)",
            "grid[k][k] = pivot", (FORWARD_PROPERTY,)),
+    Mutant("text keeps coefficients that share a factor with the scale",
+           "torsionlab/novikov.py",
+           "g = math.gcd(magnitude, scale)", "g = 1", (RENDERER_PROPERTY,)),
+    Mutant("text takes a numerator of 1 for a unit coefficient",
+           "torsionlab/novikov.py",
+           "if magnitude != scale:", "if magnitude != 1:",
+           (RENDERER_PROPERTY,)),
     Mutant("balanced point without the sum-zero check",
            "torsionlab/toric.py",
            "if not facets or any(map(sum, zip(*(f.normal for f in facets)))):",

@@ -95,3 +95,28 @@ def agrees_with(x, y):
     """True when x - y vanishes below its truncation level."""
     diff = x - y
     return diff.valuation() >= diff.trunc
+
+
+def _format_term(coeff, t_exp):
+    parts = []
+    if t_exp != 0:
+        parts.append(f"T({t_exp})")
+    magnitude = abs(coeff)
+    if magnitude != 1 or not parts:
+        parts.insert(0, str(magnitude))
+    return "*".join(parts)
+
+
+def to_text(x):
+    """The text encoding rendered from the Fraction terms, term by term;
+    ``novikov.to_text`` reads the integer form instead."""
+    if not x.terms:
+        return "0"
+    pieces = []
+    for index, (coeff, t_exp) in enumerate(x.terms):
+        body = _format_term(coeff, t_exp)
+        if index == 0:
+            pieces.append(body if coeff > 0 else f"-{body}")
+        else:
+            pieces.append(f"{'+' if coeff > 0 else '-'} {body}")
+    return " ".join(pieces)

@@ -217,6 +217,22 @@ def test_snf_rejects_zero_denominator_while_reading_matrix(capsys,
             "COEFF*T(p/q)" in err)
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("1 +", "dangling sign or empty term in '1 +'"),
+    (True, "cannot interpret True as a Novikov element"),
+], ids=["dangling-sign", "json-boolean"])
+def test_snf_rejects_a_malformed_entry_while_reading_matrix(
+        capsys, tmp_path, entry, message):
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps({
+        "rows": 1, "cols": 2, "entries": [["1", entry]],
+    }))
+    code, out, err = invoke(capsys, "snf", "--matrix", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 _RANKS = "complex JSON field 'ranks' must be a list of non-negative integers"
 _ONE_DIFFERENTIAL = [{"rows": 1, "cols": 1, "entries": [["T(1)"]]}]
 

@@ -284,10 +284,23 @@ def test_parse_is_liberal_about_order_and_space():
 
 @pytest.mark.parametrize("bad", ["", "+", "T(", "T(1)*T(2)", "x", "1..2",
                                  "T(1.5)", "e(1/2)", "e(1)", "T(1)*e(1)",
-                                 "1/0", "T(1/0)", "3*T(2/0)"])
+                                 "1/0", "T(1/0)", "3*T(2/0)", "1 -", "1 +",
+                                 "T(1) +", "1 + + T(1)", "1 - - T(1)",
+                                 "1 + - T(1)", "1 - + T(1)", "--1", "+ -1"])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         from_text(bad)
+
+
+def test_a_leading_sign_is_followed_by_its_term():
+    assert from_text("+1 - T(1)") == from_text("1 - T(1)")
+    assert from_text("- T(1)") == NovikovElement.monomial(-1, 1)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_parse_refuses_bools(value):
+    with pytest.raises(TypeError):
+        novikov.parse(value)
 
 
 # -- value semantics ------------------------------------------------------
@@ -589,6 +602,46 @@ def test_ring_results_are_the_values_their_text_gives(pair):
         for value in [result] + [how(result) for how in COPIES.values()]:
             assert value == parsed and parsed == value
             assert hash(value) == hash(parsed)
+
+
+# -- text rendering ----------------------------------------------------------
+#
+# ``to_text`` reads the integer form; ``ring_oracle.to_text`` renders the
+# Fraction terms.  Divisors of 12 over divisors of 12 put numerators that
+# share factors with the scale into one element (1/4 and 1/2 over scale
+# 4), and units and numerators of 1 over a scale above 1; a rescale
+# stores exponents over a larger denominator.
+
+DIVISORS = (1, 2, 3, 4, 6, 12)
+shared_coefficients = st.builds(
+    F, st.sampled_from(DIVISORS + tuple(-d for d in DIVISORS)),
+    st.sampled_from(DIVISORS))
+
+
+@given(st.lists(st.tuples(st.one_of(shared_coefficients, wide_coefficients()),
+                          mixed_fractions(-3, 6)), max_size=6),
+       mixed_levels, st.sampled_from((1, 2, 3, 10)))
+def test_to_text_matches_the_fraction_renderer(terms, level, factor):
+    x = NovikovElement(terms, level)
+    for value in (x, novikov._rescaled(x, x._den * factor)):
+        assert to_text(value) == ring_oracle.to_text(value)
+
+
+def test_to_text_builds_no_fraction(monkeypatch):
+    series = invert(nov("1 - 2*T(2/3)", trunc=32))
+    assert len(series._terms) == 48
+    built = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(novikov, "Fraction", Counting)
+    text = to_text(series)
+    monkeypatch.undo()
+    assert built == []
+    assert text == ring_oracle.to_text(series)
 
 
 def test_normal_form_elimination_does_no_fraction_arithmetic(monkeypatch):
