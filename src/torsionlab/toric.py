@@ -163,7 +163,8 @@ def facet_areas(model: MomentModel, fiber: Sequence) -> tuple[Fraction, ...]:
     for index, value in enumerate(slacks):
         if value <= 0:
             raise FiberOnBoundary(
-                f"facet {index} has nonpositive area {value} at {tuple(fiber)}")
+                f"facet {index} has nonpositive area {value} at "
+                f"({', '.join(str(Fraction(x)) for x in fiber)})")
     return slacks
 
 
@@ -315,29 +316,20 @@ def _balanced_point(block: Factor) -> tuple[Fraction, ...] | None:
     return tuple(point)
 
 
-def _intervals(blocks: list[tuple[list[int], Factor]], cap
-               ) -> dict[int, tuple[Fraction, Fraction]]:
-    """Exact bounds of the coordinates of ``blocks``, by product
-    coordinate.
-
-    Each coordinate's bounds are read off the vertices of its block,
-    since the vertices of a product are the products of its blocks'
-    vertices.  Directions in which a block recedes along a coordinate
-    axis (every normal component of one sign, as for cylinder factors)
-    are capped by the required ``cap``, checked once every block has
-    vertices.
-    """
-    columns = {}
-    for coords, block in blocks:
-        vertices = _vertices(block)
-        if not vertices:
-            raise EmptyInterior("the polytope has no vertices")
-        for position, i in enumerate(coords):
-            columns[i] = ([v[position] for v in vertices],
-                          [f.normal[position] for f in block.facets])
-    intervals = {}
-    for i in sorted(columns):
-        values, normals = columns[i]
+def _intervals(coords: list[int], block: Factor, cap
+               ) -> list[tuple[Fraction, Fraction]]:
+    """Exact bounds of each coordinate of ``block``, read off its
+    vertices; ``coords`` are their product coordinates.  Directions in
+    which the block recedes along a coordinate axis (every normal
+    component of one sign, as for cylinder factors) are capped by the
+    required ``cap``."""
+    vertices = _vertices(block)
+    if not vertices:
+        raise EmptyInterior("the polytope has no vertices")
+    intervals = []
+    for position, i in enumerate(coords):
+        values = [v[position] for v in vertices]
+        normals = [f.normal[position] for f in block.facets]
         lo, hi = min(values), max(values)
         if all(c >= 0 for c in normals):
             if cap is None:
@@ -349,7 +341,7 @@ def _intervals(blocks: list[tuple[list[int], Factor]], cap
                 raise ValueError(f"coordinate {i} is unbounded below; "
                                  "pass a cap")
             lo = min(lo, -Fraction(cap))
-        intervals[i] = (lo, hi)
+        intervals.append((lo, hi))
     return intervals
 
 
@@ -357,19 +349,59 @@ def coordinate_intervals(model: MomentModel, cap=None
                          ) -> list[tuple[Fraction, Fraction]]:
     """Exact per-coordinate bounds of the polytope, block by block (see
     ``_blocks`` and ``_intervals``)."""
-    intervals = _intervals(_model_blocks(model), cap)
+    intervals = {}
+    for coords, block in _model_blocks(model):
+        intervals.update(zip(coords, _intervals(coords, block, cap)))
     return [intervals[i] for i in range(model.dim)]
 
 
 @dataclass(frozen=True)
 class ThresholdSearch:
-    """Best fiber found: balanced blocks at their balanced points, the
-    other coordinates by grid search plus coordinate refinement."""
+    """Best fiber found: balanced blocks at their balanced points, each
+    other block by its own grid search plus coordinate refinement."""
 
     fiber: tuple[Fraction, ...]
     value: Level
     resolution: int
     non_displaceable: bool
+
+
+def _search_block(block: Factor, intervals: list[tuple[Fraction, Fraction]],
+                  resolution: int, refine_rounds: int,
+                  trunc: Level | None) -> tuple[Fraction, ...]:
+    """The best point of one block: a grid that subdivides each of its
+    coordinate intervals into ``resolution`` parts (nested grids, so
+    doubling the resolution never lowers the result), then coordinate
+    descent on successively halved windows around the incumbent.  A
+    point of threshold +inf ends the search."""
+    alone = MomentModel((block,))
+    axes = [[lo + (hi - lo) * Fraction(j, resolution)
+             for j in range(1, resolution)] for lo, hi in intervals]
+    best_point = best_value = None
+    for candidate in itertools.product(*axes):
+        if not alone.is_interior(candidate):
+            continue
+        value = torsion_threshold_at(alone, candidate, trunc)
+        if is_infinite(value):
+            return candidate
+        if best_value is None or value > best_value:
+            best_point, best_value = candidate, value
+    if best_point is None:
+        raise EmptyInterior(
+            f"no interior grid point at resolution {resolution}")
+
+    for round_index in range(1, refine_rounds + 1):
+        for axis, (lo, hi) in enumerate(intervals):
+            window = (hi - lo) / (resolution * 2 ** round_index)
+            for step in range(-resolution, resolution + 1):
+                moved = list(best_point)
+                moved[axis] = best_point[axis] + window * step
+                if not (lo < moved[axis] < hi) or not alone.is_interior(moved):
+                    continue
+                value = torsion_threshold_at(alone, moved, trunc)
+                if value > best_value:
+                    best_point, best_value = tuple(moved), value
+    return best_point
 
 
 def optimize_threshold(model: MomentModel, resolution: int = 8,
@@ -378,65 +410,33 @@ def optimize_threshold(model: MomentModel, resolution: int = 8,
     """Maximize the torsion threshold over interior fibers.
 
     Blocks (see ``_blocks``) have disjoint coordinates, so the threshold
-    of a fiber is the least of its blocks' thresholds.  A block with a
-    balanced point (see ``_balanced_point``) has threshold +inf there,
-    so it is fixed at that point, which is optimal.  The other blocks,
-    cylinders and unbalanced facet blocks, are searched on a grid that
-    subdivides each of their coordinate intervals into ``resolution``
-    parts (nested grids, so doubling the resolution never lowers the
-    result).  A fiber of threshold +inf short-circuits the search.
-    Refinement rounds run coordinate descent on successively halved
-    windows around the incumbent.  When every block is balanced, the
-    product of balanced points is the one candidate.
+    of a fiber is the least of its blocks' thresholds, and each block is
+    maximized on its own.  A block with a balanced point (see
+    ``_balanced_point``) has threshold +inf there, so it is fixed at
+    that point, which is optimal.  The other blocks, cylinders and
+    unbalanced facet blocks, are each searched alone (see
+    ``_search_block``), after all their intervals, so that a missing cap
+    is refused before any search.  The value is the threshold at the
+    fiber the blocks' points make up.
     """
     if resolution < 1:
         raise ValueError("resolution must be positive")
-    axes: dict[int, list[Fraction]] = {}
+    placed: dict[int, Fraction] = {}
     searched = []
     for coords, block in _model_blocks(model):
         point = _balanced_point(block)
         if point is None:
-            searched.append((coords, block))
+            searched.append((coords, block, _intervals(coords, block, cap)))
         else:
-            axes.update((i, [x]) for i, x in zip(coords, point))
-    intervals = _intervals(searched, cap)
-    for i, (lo, hi) in intervals.items():
-        axes[i] = [lo + (hi - lo) * Fraction(j, resolution)
-                   for j in range(1, resolution)]
-
-    def evaluate(point) -> Level:
-        return torsion_threshold_at(model, point, trunc)
-
-    best_point = None
-    best_value = None
-    for candidate in itertools.product(*(axes[i] for i in range(model.dim))):
-        if not model.is_interior(candidate):
-            continue
-        value = evaluate(candidate)
-        if is_infinite(value):
-            return ThresholdSearch(fiber=tuple(candidate), value=INFINITE,
-                                   resolution=resolution,
-                                   non_displaceable=True)
-        if best_value is None or value > best_value:
-            best_point, best_value = tuple(candidate), value
-    if best_point is None:
-        raise EmptyInterior(
-            f"no interior grid point at resolution {resolution}")
-
-    for round_index in range(1, refine_rounds + 1):
-        for axis, (lo, hi) in intervals.items():
-            window = (hi - lo) / (resolution * 2 ** round_index)
-            for step in range(-resolution, resolution + 1):
-                moved = list(best_point)
-                moved[axis] = best_point[axis] + window * step
-                if not (lo < moved[axis] < hi) or not model.is_interior(moved):
-                    continue
-                value = evaluate(moved)
-                if value > best_value:
-                    best_point, best_value = tuple(moved), value
-    return ThresholdSearch(fiber=best_point, value=best_value,
+            placed.update(zip(coords, point))
+    for coords, block, intervals in searched:
+        placed.update(zip(coords, _search_block(
+            block, intervals, resolution, refine_rounds, trunc)))
+    fiber = tuple(placed[i] for i in range(model.dim))
+    value = torsion_threshold_at(model, fiber, trunc)
+    return ThresholdSearch(fiber=fiber, value=value,
                            resolution=resolution,
-                           non_displaceable=is_infinite(best_value))
+                           non_displaceable=is_infinite(value))
 
 
 # -- JSON codec -----------------------------------------------------------

@@ -1,9 +1,10 @@
 """Grid-only threshold search, kept as a test oracle.
 
 ``toric.optimize_threshold`` fixes every balanced block at its balanced
-point and searches only the other coordinates.  This is the search it
-replaced: a grid over every coordinate interval of the model plus
-coordinate refinement.  The optimizer's answer may never fall below it.
+point and searches each other block on its own, so its cost is a sum
+over blocks.  This is the search it replaced: one grid over the product
+of every coordinate interval of the model plus coordinate refinement
+across all of them.  The optimizer's answer may never fall below it.
 """
 
 import itertools

@@ -44,6 +44,10 @@ RENDERER_PROPERTY = ("tests/test_novikov.py::"
                      "test_to_text_matches_the_fraction_renderer")
 OPTIMIZER_PROPERTY = ("tests/test_toric.py::"
                       "test_optimizer_never_below_the_grid_and_true_at_its_fiber")
+PRODUCT_PROPERTY = ("tests/test_toric.py::"
+                    "test_optimizer_answers_a_product_from_its_factors_alone")
+CYLINDER_PAIR = ("tests/test_cli.py::"
+                 "test_optimize_cylinder_pair_answers_like_one_cylinder")
 
 MUTANTS = (
     Mutant("forward pass skips the pivot-row division at infinite level",
@@ -74,6 +78,20 @@ MUTANTS = (
            "torsionlab/toric.py",
            "if s <= 0 or any(area != s for area in block.slacks(point)):",
            "if any(area != s for area in block.slacks(point)):",
+           (OPTIMIZER_PROPERTY,)),
+    Mutant("block search drops a refinement round",
+           "torsionlab/toric.py",
+           "for round_index in range(1, refine_rounds + 1):",
+           "for round_index in range(1, refine_rounds):", (CYLINDER_PAIR,)),
+    Mutant("only the first searched block is searched",
+           "torsionlab/toric.py",
+           "for coords, block, intervals in searched:",
+           "for coords, block, intervals in searched[:1]:",
+           (CYLINDER_PAIR, PRODUCT_PROPERTY)),
+    Mutant("block refinement moves only the block's first coordinate",
+           "torsionlab/toric.py",
+           "for axis, (lo, hi) in enumerate(intervals):",
+           "for axis, (lo, hi) in enumerate(intervals[:1]):",
            (OPTIMIZER_PROPERTY,)),
 )
 

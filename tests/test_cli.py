@@ -1,5 +1,7 @@
 """End-to-end checks of the command line interface."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import torsionlab
 from torsionlab import toric
@@ -183,6 +186,19 @@ def test_boundary_fiber_exits_2(capsys):
                           "--fiber", "0")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("model, fiber, message", [
+    ("cylinder", "0", "facet 0 has nonpositive area 0 at (0)"),
+    ("sphere:1xsphere:1", "1,1/2", "facet 1 has nonpositive area 0 at "
+                                   "(1, 1/2)"),
+], ids=["cylinder", "sphere-pair"])
+def test_boundary_fiber_message_prints_rationals(capsys, model, fiber,
+                                                 message):
+    code, out, err = invoke(capsys, "torsion", "--model", model,
+                            "--fiber", fiber)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_unknown_inline_factor_exits_2(capsys):
@@ -462,6 +478,116 @@ def test_optimize_sphere_product_at_resolution_40_answers_fast(
     assert code == 0
     assert "fiber: 1/2, 1/2, 1/2, 1/2 (exact)" in out
     assert "value: inf (exact)" in out
+
+
+def test_optimize_cylinder_pair_answers_like_one_cylinder(capsys):
+    # the two cylinders tie for the least threshold, and a move of one
+    # coordinate cannot raise a tie; each is searched alone instead
+    code, out, _ = invoke(capsys, "optimize", "--model", "cylinder",
+                          "--cap", "3")
+    assert code == 0 and "fiber: 93/32 (exact)" in out
+    code, out, _ = invoke(capsys, "optimize", "--model",
+                          "cylinderxcylinder", "--cap", "3")
+    assert code == 0
+    assert "fiber: 93/32, 93/32 (exact)" in out
+    assert "value: 93/32 (= 2.90625, exact)" in out
+
+
+def test_optimize_twelve_cylinders_cost_a_sum_over_blocks(capsys,
+                                                          monkeypatch):
+    # one cylinder costs 7 grid points and 2 rounds of 17 moves; a grid
+    # over the product would hold 7^12 fibers
+    bound = 12 * 41 + 1
+    calls = []
+    evaluate = toric.torsion_threshold_at
+
+    def counted(*args):
+        calls.append(args)
+        if len(calls) > bound:
+            raise AssertionError(f"more than {bound} fibers evaluated")
+        return evaluate(*args)
+    monkeypatch.setattr(toric, "torsion_threshold_at", counted)
+    started = time.perf_counter()
+    code, out, _ = invoke(capsys, "optimize", "--model",
+                          "x".join(["cylinder"] * 12), "--cap", "3")
+    assert time.perf_counter() - started < 1
+    assert code == 0
+    assert "fiber: " + ", ".join(["93/32"] * 12) + " (exact)" in out
+    assert "value: 93/32 (= 2.90625, exact)" in out
+
+
+def run_in_process(*argv):
+    """Exit code, stdout and stderr of one ``run`` call; ``capsys`` is
+    set up once per test, not once per ``hypothesis`` example."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _report_line(out, key):
+    """The text after ``key: `` on its line of a text report."""
+    (line,) = [line for line in out.splitlines()
+               if line.startswith(key + ": ")]
+    return line[len(key) + 2:]
+
+
+@st.composite
+def toric_invocations(draw):
+    """``optimize`` or ``torsion`` on an inline model of one to five
+    factors (sphere and CP^k sizes from -1 to 8 over 1 to 3, k from 0 to
+    3), with ``--resolution`` 0 to 6, ``--refine`` -1 to 3, and ``--cap``
+    and ``--trunc`` absent, 0 or positive; a ``torsion`` fiber has the
+    model's dimension or one more, with coordinates on a grid of 1/4.
+    Returns the arguments and the ``--trunc`` arguments apart."""
+    def size(least=-1):
+        # a size of 0 or below is drawn about once in 13 sizes
+        numerator = draw(st.sampled_from((*tuple(range(1, 9)) * 3, 0, -1)))
+        return f"{max(numerator, least)}/{draw(st.integers(1, 3))}"
+    tokens, dim = [], 0
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("sphere", "cp", "cylinder")))
+        if kind == "sphere":
+            tokens.append(f"sphere:{size()}")
+            dim += 1
+        elif kind == "cp":
+            k = draw(st.sampled_from((1, 2, 3, 1, 2, 3, 0)))
+            tokens.append(f"cp:{k}:{size()}")
+            dim += k
+        else:
+            tokens.append("cylinder")
+            dim += 1
+    model = "x".join(tokens)
+    trunc = draw(st.sampled_from(([], ["--trunc", size(1)],
+                                  ["--trunc", "0"])))
+    if draw(st.sampled_from(("optimize", "torsion"))) == "optimize":
+        cap = draw(st.sampled_from((["--cap", size(1)], [],
+                                    ["--cap", "0"])))
+        return ["optimize", "--model", model,
+                "--resolution", str(draw(st.integers(0, 6))),
+                "--refine", str(draw(st.integers(-1, 3))), *cap], trunc
+    fiber = ",".join(f"{draw(st.sampled_from((*range(1, 13), 0)))}/4"
+                     for _ in range(dim + draw(st.sampled_from((0, 0, 1)))))
+    return ["torsion", "--model", model, "--fiber", fiber or "0"], trunc
+
+
+@settings(max_examples=100)
+@given(toric_invocations())
+def test_toric_commands_answer_or_refuse_and_optimize_agrees_with_torsion(
+        case):
+    argv, trunc = case
+    code, out, err = run_in_process(*argv, *trunc)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    assert code == 0 or out == ""
+    if argv[0] == "optimize" and code == 0:
+        fiber = _report_line(out, "fiber").removesuffix(" (exact)")
+        code, checked, _ = run_in_process(
+            "torsion", "--model", argv[2], "--fiber", fiber.replace(" ", ""),
+            *trunc)
+        assert code == 0
+        assert _report_line(checked, "threshold") == \
+            _report_line(out, "value")
 
 
 def test_torsion_at_infinite_truncation_answers(capsys):

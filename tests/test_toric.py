@@ -611,15 +611,40 @@ OPTIMIZER_BLOCKS = (
 )
 
 
+def facet_block(draw):
+    """A two-dimensional block of ``OPTIMIZER_BLOCKS`` with every facet
+    at one area s from a drawn point, each facet shifted now and then,
+    and whether it is balanced by construction; s may be 0 or negative,
+    which leaves a block whose normals sum to zero a point or empty."""
+    normals = draw(st.sampled_from(OPTIMIZER_BLOCKS))
+    point = [F(draw(st.integers(-4, 4)), 2) for _ in range(2)]
+    area = F(draw(st.integers(-2, 4)), 2)
+    shifts = [draw(st.sampled_from((0, 0, 0, F(1, 2), F(-1, 2))))
+              for _ in normals]
+    block = facet_model(2, [
+        (normal, sum(c * x for c, x in zip(normal, point)) - area + shift)
+        for normal, shift in zip(normals, shifts)])
+    return block, area > 0 and not any(shifts) and not any(
+        map(sum, zip(*normals)))
+
+
+def search_settings(draw):
+    """A resolution, refinement rounds, a truncation and a cap."""
+    resolution = draw(st.integers(1, 4))
+    refine = draw(st.integers(0, 2))
+    trunc = draw(st.sampled_from(
+        (None, INFINITE, F(draw(st.integers(1, 16)), 4))))
+    cap = draw(st.sampled_from((None, F(1), F(7, 2))))
+    return resolution, refine, trunc, cap
+
+
 @st.composite
 def optimizer_cases(draw):
     """A product of spheres, CP^1, CP^2, cylinders and facet blocks of
     dimension at most 4, with a resolution, refinement rounds, a
-    truncation and a cap, and whether every factor is balanced (see
-    ``toric._balanced_point``) by construction.  A facet block puts
-    every facet at one area s from a drawn point, each facet shifted now
-    and then; s may be 0 or negative, which leaves a block whose normals
-    sum to zero a point or empty."""
+    truncation and a cap (see ``facet_block`` and ``search_settings``),
+    and whether every factor is balanced (see ``toric._balanced_point``)
+    by construction."""
     factors, dim = [], 0
     balanced = True
     while not factors or (dim < 4 and draw(st.booleans())):
@@ -641,23 +666,11 @@ def optimizer_cases(draw):
             dim += 1
             balanced = False
         else:
-            normals = draw(st.sampled_from(OPTIMIZER_BLOCKS))
-            point = [F(draw(st.integers(-4, 4)), 2) for _ in range(2)]
-            area = F(draw(st.integers(-2, 4)), 2)
-            shifts = [draw(st.sampled_from((0, 0, 0, F(1, 2), F(-1, 2))))
-                      for _ in normals]
-            factors.append(facet_model(2, [
-                (normal, sum(c * x for c, x in zip(normal, point)) - area
-                 + shift) for normal, shift in zip(normals, shifts)]))
+            block, block_balanced = facet_block(draw)
+            factors.append(block)
             dim += 2
-            balanced &= area > 0 and not any(shifts) and not any(
-                map(sum, zip(*normals)))
-    resolution = draw(st.integers(1, 4))
-    refine = draw(st.integers(0, 2))
-    trunc = draw(st.sampled_from(
-        (None, INFINITE, F(draw(st.integers(1, 16)), 4))))
-    cap = draw(st.sampled_from((None, F(1), F(7, 2))))
-    return product(*factors), resolution, refine, trunc, cap, balanced
+            balanced &= block_balanced
+    return (product(*factors), *search_settings(draw), balanced)
 
 
 @settings(max_examples=300)
@@ -688,6 +701,45 @@ def test_optimizer_never_below_the_grid_and_true_at_its_fiber(case):
     if found.non_displaceable:
         assert decompose(koszul_complex(model, found.fiber, trunc)) == \
             ModuleDecomposition(betti=2 ** model.dim, torsion=())
+
+
+@st.composite
+def factor_lists(draw):
+    """Two to four factors, each a sphere, CP^1, CP^2, a cylinder or a
+    facet block (see ``facet_block``), with search settings."""
+    factors = []
+    for _ in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from(("sphere", "cp", "cylinder", "facets")))
+        if kind == "sphere":
+            factors.append(sphere_factor(
+                F(draw(st.integers(1, 8)), draw(st.integers(1, 3)))))
+        elif kind == "cp":
+            factors.append(projective_factor(
+                draw(st.integers(1, 2)),
+                F(draw(st.integers(1, 8)), draw(st.integers(1, 2)))))
+        elif kind == "cylinder":
+            factors.append(cylinder_factor())
+        else:
+            factors.append(facet_block(draw)[0])
+    return factors, *search_settings(draw)
+
+
+@settings(max_examples=150)
+@given(factor_lists())
+def test_optimizer_answers_a_product_from_its_factors_alone(case):
+    # blocks have disjoint coordinates, so each is searched on its own
+    factors, resolution, refine, trunc, cap = case
+
+    def search(model):
+        return outcome(lambda: optimize_threshold(
+            model, resolution=resolution, cap=cap, refine_rounds=refine,
+            trunc=trunc))
+    alone = [search(factor) for factor in factors]
+    if any(isinstance(answer, tuple) for answer in alone):
+        return
+    found = search(product(*factors))
+    assert found.fiber == tuple(x for answer in alone for x in answer.fiber)
+    assert found.value == min(answer.value for answer in alone)
 
 
 # -- serialization --------------------------------------------------------
