@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -274,19 +275,11 @@ def _cmd_optimize(args) -> tuple[Report, int]:
     model = _load_model(args.model)
     cap = _number(args.cap, "--cap")
     trunc = _parse_trunc(args.trunc)
-    if args.resolution < 1:
-        raise ValueError("--resolution needs an integer of at least 1; "
-                         f"got {args.resolution}")
-    if args.refine < 0:
-        raise ValueError("--refine needs an integer of at least 0; "
-                         f"got {args.refine}")
     if cap is not None and cap <= 0:
         raise ValueError(f"--cap needs a rational above 0; got {args.cap!r}")
-    search = optimize_threshold(model, resolution=args.resolution, cap=cap,
-                                refine_rounds=args.refine, trunc=trunc)
+    search = optimize_threshold(model, cap=cap, trunc=trunc)
     report = Report("optimize")
     report.add("model", model.description)
-    report.add("resolution", search.resolution)
     report.add("fiber", [exact_number(c) for c in search.fiber])
     report.add("value", exact_number(search.value))
     report.add("non_displaceable", search.non_displaceable)
@@ -380,9 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize",
                        help="maximize the torsion threshold over fibers")
     p.add_argument("--model", required=True)
-    p.add_argument("--resolution", type=int, default=8)
-    p.add_argument("--cap", help="cap p/q for unbounded directions")
-    p.add_argument("--refine", type=int, default=2)
+    p.add_argument("--cap", help="inclusive cap p/q for unbounded directions")
     p.add_argument("--trunc")
 
     p = sub.add_parser("verify", help="run a numerical verification suite")
@@ -396,6 +387,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     """Parse arguments, execute, print the report; returns the exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a separate value such as -1/3 for an option, since
+    # only negative integers and decimals look like numbers to it
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1].startswith("--") and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _build_parser().parse_args(argv)
     if getattr(args, "seed", None) is None and args.command == "verify":
         args.seed = _default_seed()

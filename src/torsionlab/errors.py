@@ -37,7 +37,7 @@ class FiberOnBoundary(TorsionLabError):
 
 
 class EmptyInterior(TorsionLabError):
-    """The moment polytope has no interior point on the search grid."""
+    """The moment polytope has no interior point within its box."""
 
 
 class UnboundedDomain(TorsionLabError):

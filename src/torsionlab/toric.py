@@ -259,18 +259,17 @@ def _solve(rows: list[list[Fraction]], rhs: list[Fraction]
     return [work[r][n] for r in range(n)]
 
 
-def _vertices(factor: Factor) -> list[tuple[Fraction, ...]]:
-    points = set()
-    facets = factor.facets
-    for subset in itertools.combinations(range(len(facets)), factor.dim):
-        rows = [list(map(Fraction, facets[i].normal)) for i in subset]
-        rhs = [facets[i].offset for i in subset]
-        solution = _solve(rows, rhs)
-        if solution is None:
-            continue
-        if all(s >= 0 for s in factor.slacks(solution)):
-            points.add(tuple(solution))
-    return sorted(points)
+def _points(planes: list[tuple[list[Fraction], Fraction]], dim: int
+            ) -> Iterator[tuple[Fraction, ...]]:
+    """Each distinct point that ``dim`` of the hyperplanes <row, u> = rhs
+    fix, in the order of the subsets that first fix it."""
+    seen = set()
+    for subset in itertools.combinations(planes, dim):
+        solution = _solve([row for row, _ in subset],
+                          [rhs for _, rhs in subset])
+        if solution is not None and tuple(solution) not in seen:
+            seen.add(tuple(solution))
+            yield tuple(solution)
 
 
 def _blocks(factor: Factor) -> list[tuple[list[int], Factor]]:
@@ -323,7 +322,10 @@ def _intervals(coords: list[int], block: Factor, cap
     which the block recedes along a coordinate axis (every normal
     component of one sign, as for cylinder factors) are capped by the
     required ``cap``."""
-    vertices = _vertices(block)
+    planes = [(list(map(Fraction, f.normal)), f.offset)
+              for f in block.facets]
+    vertices = [point for point in _points(planes, block.dim)
+                if all(s >= 0 for s in block.slacks(point))]
     if not vertices:
         raise EmptyInterior("the polytope has no vertices")
     intervals = []
@@ -345,97 +347,91 @@ def _intervals(coords: list[int], block: Factor, cap
     return intervals
 
 
-def coordinate_intervals(model: MomentModel, cap=None
-                         ) -> list[tuple[Fraction, Fraction]]:
-    """Exact per-coordinate bounds of the polytope, block by block (see
-    ``_blocks`` and ``_intervals``)."""
-    intervals = {}
-    for coords, block in _model_blocks(model):
-        intervals.update(zip(coords, _intervals(coords, block, cap)))
-    return [intervals[i] for i in range(model.dim)]
+# A searched block of m facets in d coordinates has C(C(m,2) + 2d, d)
+# candidate vertices; past this many it is refused before any is solved.
+CANDIDATE_BUDGET = 20_000
 
 
 @dataclass(frozen=True)
 class ThresholdSearch:
-    """Best fiber found: balanced blocks at their balanced points, each
-    other block by its own grid search plus coordinate refinement."""
+    """Best fiber: each block at its balanced point or best vertex."""
 
     fiber: tuple[Fraction, ...]
     value: Level
-    resolution: int
     non_displaceable: bool
 
 
-def _search_block(block: Factor, intervals: list[tuple[Fraction, Fraction]],
-                  resolution: int, refine_rounds: int,
-                  trunc: Level | None) -> tuple[Fraction, ...]:
-    """The best point of one block: a grid that subdivides each of its
-    coordinate intervals into ``resolution`` parts (nested grids, so
-    doubling the resolution never lowers the result), then coordinate
-    descent on successively halved windows around the incumbent.  A
-    point of threshold +inf ends the search."""
+def _best_vertex(block: Factor, intervals: list[tuple[Fraction, Fraction]],
+                 trunc: Level | None) -> tuple[Fraction, ...]:
+    """The first point of largest threshold strictly inside the block
+    among the vertices of its tie hyperplanes a_j(u) = a_k(u) and the
+    faces of its closed box ``intervals``; +inf ends the enumeration.
+    On each open cell of that arrangement the threshold is one facet
+    area or +inf.  It is upper semicontinuous, since merging groups of
+    equal area adds their summed normals, and tends to 0 at the block's
+    boundary, so its maximum is at an interior vertex.  ``trunc`` maps
+    the thresholds at or above it to +inf, which keeps their order."""
     alone = MomentModel((block,))
-    axes = [[lo + (hi - lo) * Fraction(j, resolution)
-             for j in range(1, resolution)] for lo, hi in intervals]
+    planes = [([Fraction(a - b) for a, b in zip(f.normal, g.normal)],
+               f.offset - g.offset)
+              for f, g in itertools.combinations(block.facets, 2)]
+    for i, (lo, hi) in enumerate(intervals):
+        axis = [Fraction(int(j == i)) for j in range(block.dim)]
+        planes += [(axis, lo), (axis, hi)]
     best_point = best_value = None
-    for candidate in itertools.product(*axes):
-        if not alone.is_interior(candidate):
-            continue
-        value = torsion_threshold_at(alone, candidate, trunc)
-        if is_infinite(value):
-            return candidate
-        if best_value is None or value > best_value:
-            best_point, best_value = candidate, value
+    for point in _points(planes, block.dim):
+        if all(lo <= x <= hi for x, (lo, hi) in zip(point, intervals)) \
+                and alone.is_interior(point):
+            value = torsion_threshold_at(alone, point, trunc)
+            if best_value is None or value > best_value:
+                best_point, best_value = point, value
+                if is_infinite(value):
+                    break
     if best_point is None:
-        raise EmptyInterior(
-            f"no interior grid point at resolution {resolution}")
-
-    for round_index in range(1, refine_rounds + 1):
-        for axis, (lo, hi) in enumerate(intervals):
-            window = (hi - lo) / (resolution * 2 ** round_index)
-            for step in range(-resolution, resolution + 1):
-                moved = list(best_point)
-                moved[axis] = best_point[axis] + window * step
-                if not (lo < moved[axis] < hi) or not alone.is_interior(moved):
-                    continue
-                value = torsion_threshold_at(alone, moved, trunc)
-                if value > best_value:
-                    best_point, best_value = tuple(moved), value
+        box = " x ".join(f"[{lo}, {hi}]" for lo, hi in intervals)
+        raise EmptyInterior(f"the polytope has no interior point in {box}")
     return best_point
 
 
-def optimize_threshold(model: MomentModel, resolution: int = 8,
-                       cap=None, refine_rounds: int = 2,
-                       trunc: Level | None = None) -> ThresholdSearch:
-    """Maximize the torsion threshold over interior fibers.
+def optimize_threshold(model: MomentModel, cap=None,
+                       trunc: Level | None = None,
+                       resolution=None) -> ThresholdSearch:
+    """Maximize the torsion threshold over interior fibers, exactly.
 
     Blocks (see ``_blocks``) have disjoint coordinates, so the threshold
     of a fiber is the least of its blocks' thresholds, and each block is
     maximized on its own.  A block with a balanced point (see
-    ``_balanced_point``) has threshold +inf there, so it is fixed at
-    that point, which is optimal.  The other blocks, cylinders and
-    unbalanced facet blocks, are each searched alone (see
-    ``_search_block``), after all their intervals, so that a missing cap
-    is refused before any search.  The value is the threshold at the
-    fiber the blocks' points make up.
+    ``_balanced_point``) has threshold +inf there, which is optimal.
+    Each other block, a cylinder or an unbalanced facet block, takes its
+    best vertex (see ``_best_vertex``) in its closed box (see
+    ``_intervals``), so ``cap`` is an inclusive bound.  A block over
+    ``CANDIDATE_BUDGET`` is refused before any system is solved, and a
+    missing cap before any block is enumerated.  ``resolution`` is
+    ignored; ``perfbench/exact_core.py``, written for the grid search
+    this replaced, still passes it.
     """
-    if resolution < 1:
-        raise ValueError("resolution must be positive")
     placed: dict[int, Fraction] = {}
     searched = []
     for coords, block in _model_blocks(model):
         point = _balanced_point(block)
         if point is None:
-            searched.append((coords, block, _intervals(coords, block, cap)))
+            searched.append((coords, block))
         else:
             placed.update(zip(coords, point))
-    for coords, block, intervals in searched:
-        placed.update(zip(coords, _search_block(
-            block, intervals, resolution, refine_rounds, trunc)))
+    for coords, block in searched:
+        m, d = len(block.facets), block.dim
+        count = math.comb(math.comb(m, 2) + 2 * d, d)
+        if count > CANDIDATE_BUDGET:
+            raise ValueError(
+                f"the block over coordinates {coords} has m = {m} facets in "
+                f"d = {d} dimensions, so C(C(m,2) + 2d, d) = {count} "
+                f"candidate vertices, over the budget of {CANDIDATE_BUDGET}")
+    boxes = [_intervals(coords, block, cap) for coords, block in searched]
+    for (coords, block), box in zip(searched, boxes):
+        placed.update(zip(coords, _best_vertex(block, box, trunc)))
     fiber = tuple(placed[i] for i in range(model.dim))
     value = torsion_threshold_at(model, fiber, trunc)
     return ThresholdSearch(fiber=fiber, value=value,
-                           resolution=resolution,
                            non_displaceable=is_infinite(value))
 
 

@@ -3,14 +3,16 @@
 ``corpus(seed, count)`` draws ``torsion``, ``optimize`` and ``polydisk``
 invocations over inline, factor-list JSON and facet JSON models (fibers
 inside, on the boundary of and outside the polytope; ``--trunc``
-absent, ``inf``, p/q or malformed; ``optimize --resolution`` 0 to 4,
-or 40 on spheres and CP^k, and ``--refine`` -1 to 2; polydisk n up to
-12), and ``snf`` and ``decompose`` invocations on seeded matrix and
-complex JSON files (A06-palette, long and negative-exponent entries,
-zero and repeated rows, Koszul complexes of two elements; malformed
-entries, shapes, ranks and compositions; series pivots that exhaust
-precision at infinite truncation; ``--trunc`` absent, ``inf``, p/q or
-malformed, and ``decompose --hofer``).  The same seed gives the same
+absent, ``inf``, p/q or malformed; ``optimize`` also on unbalanced
+2-D and 3-D facet blocks and on a 4-D block over the optimizer's
+candidate budget, and now and then with the removed ``--resolution`` or
+``--refine``, which exit 2; polydisk n up to 12), and ``snf`` and
+``decompose`` invocations on seeded matrix and complex JSON files
+(A06-palette, long and negative-exponent entries, zero and repeated
+rows, Koszul complexes of two elements; malformed entries, shapes,
+ranks and compositions; series pivots that exhaust precision at
+infinite truncation; ``--trunc`` absent, ``inf``, p/q or malformed, and
+``decompose --hofer``).  The same seed gives the same
 invocations.  Run
 
     python tests/cli_corpus.py --compare OLD_SRC NEW_SRC [--seed N] [--count N]
@@ -53,6 +55,26 @@ POLYTOPES = (
      [((1, 0), 0), ((0, 1), 0), ((0, -1), -1)],
      ["1,1/2", "5/2,1/3"], ["1,0"]),
 )
+
+# facet normals of optimizer blocks that do not sum to zero: CP^2 blown
+# up at a point, a pentagon, C^2 blown up at the origin (unbounded), CP^3
+# blown up at a point, and the simplex with one normal doubled in its
+# last coordinate
+UNBALANCED = (
+    ((1, 0), (0, 1), (-1, -1), (1, 1)),
+    ((1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)),
+    ((1, 0), (1, 1), (0, 1)),
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1)),
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -2)),
+)
+
+# a 4-cube with two corners cut: C(C(10,2) + 8, 4) = 292,825 candidate
+# vertices, over the optimizer's budget
+OVER_BUDGET = {"dim": 4, "facets": [
+    {"normal": [int(i == j) * sign for j in range(4)], "offset": offset}
+    for sign, offset in ((1, "0"), (-1, "-3")) for i in range(4)] + [
+    {"normal": [-1, -1, -1, -1], "offset": "-7"},
+    {"normal": [1, 1, 0, 0], "offset": "1"}]}
 
 BAD_FACET_FILES = (
     {"dim": -1, "facets": []},
@@ -269,18 +291,34 @@ def _torsion(rng: random.Random, index: int) -> Invocation:
                       + _trunc(rng), files)
 
 
+def _unbalanced_file(rng: random.Random, normals: tuple) -> dict:
+    """A facet file with ``normals``, every facet at one area from a
+    drawn point and now and then shifted by 1/2."""
+    dim = len(normals[0])
+    point = [F(rng.randint(-4, 4), 2) for _ in range(dim)]
+    area = F(rng.randint(1, 4), 2)
+    return {"dim": dim, "facets": [
+        {"normal": list(normal),
+         "offset": str(sum(c * x for c, x in zip(normal, point)) - area
+                       + rng.choice((0, 0, F(1, 2), F(-1, 2))))}
+        for normal in normals]}
+
+
 def _optimize(rng: random.Random, index: int) -> Invocation:
-    """Resolution 0, 1, 2-4 or, on a model of spheres and CP^k only, 40;
-    refinement rounds -1 or 0-2."""
-    model, files, _, factors = _model(rng, index, max_dim=3)
-    compact = factors is not None and all(f[0] != "cylinder"
-                                          for f in factors)
+    """A model of ``_model``, an unbalanced facet block (one time in
+    four) or the block over budget (one time in fifty); one time in
+    twenty the removed ``--resolution`` or ``--refine``."""
     roll = rng.random()
-    resolution = 0 if roll < 0.05 else 1 if roll < 0.12 else \
-        40 if roll < 0.6 and compact else rng.randint(2, 4)
-    refine = -1 if rng.random() < 0.05 else rng.randint(0, 2)
-    argv = ["optimize", "--model", model, "--resolution", str(resolution),
-            "--refine", str(refine)]
+    if roll < 0.27:
+        name = f"model-{index}.json"
+        model, files = f"@{name}", {name: OVER_BUDGET if roll < 0.02 else
+                                     _unbalanced_file(rng,
+                                                      rng.choice(UNBALANCED))}
+    else:
+        model, files, _, _ = _model(rng, index, max_dim=3)
+    argv = ["optimize", "--model", model]
+    if rng.random() < 0.05:
+        argv += rng.choice((["--resolution", "8"], ["--refine", "2"]))
     roll = rng.random()
     if roll < 0.6:
         argv += ["--cap", str(F(rng.randint(1, 12), rng.randint(1, 2)))]

@@ -44,6 +44,8 @@ RENDERER_PROPERTY = ("tests/test_novikov.py::"
                      "test_to_text_matches_the_fraction_renderer")
 OPTIMIZER_PROPERTY = ("tests/test_toric.py::"
                       "test_optimizer_never_below_the_grid_and_true_at_its_fiber")
+ORACLE_PROPERTY = ("tests/test_toric.py::"
+                   "test_optimizer_equals_the_vertex_oracle_on_unbalanced_blocks")
 PRODUCT_PROPERTY = ("tests/test_toric.py::"
                     "test_optimizer_answers_a_product_from_its_factors_alone")
 CYLINDER_PAIR = ("tests/test_cli.py::"
@@ -79,20 +81,25 @@ MUTANTS = (
            "if s <= 0 or any(area != s for area in block.slacks(point)):",
            "if any(area != s for area in block.slacks(point)):",
            (OPTIMIZER_PROPERTY,)),
-    Mutant("block search drops a refinement round",
-           "torsionlab/toric.py",
-           "for round_index in range(1, refine_rounds + 1):",
-           "for round_index in range(1, refine_rounds):", (CYLINDER_PAIR,)),
     Mutant("only the first searched block is searched",
            "torsionlab/toric.py",
-           "for coords, block, intervals in searched:",
-           "for coords, block, intervals in searched[:1]:",
+           "for (coords, block), box in zip(searched, boxes):",
+           "for (coords, block), box in zip(searched[:1], boxes):",
            (CYLINDER_PAIR, PRODUCT_PROPERTY)),
-    Mutant("block refinement moves only the block's first coordinate",
+    Mutant("vertex enumeration without the box faces",
            "torsionlab/toric.py",
-           "for axis, (lo, hi) in enumerate(intervals):",
-           "for axis, (lo, hi) in enumerate(intervals[:1]):",
-           (OPTIMIZER_PROPERTY,)),
+           "        planes += [(axis, lo), (axis, hi)]\n", "",
+           (CYLINDER_PAIR,)),
+    Mutant("vertex enumeration in the open box",
+           "torsionlab/toric.py",
+           "if all(lo <= x <= hi for x, (lo, hi) in zip(point, intervals))",
+           "if all(lo < x < hi for x, (lo, hi) in zip(point, intervals))",
+           (CYLINDER_PAIR,)),
+    Mutant("vertex enumeration without the last facet's ties",
+           "torsionlab/toric.py",
+           "for f, g in itertools.combinations(block.facets, 2)]",
+           "for f, g in itertools.combinations(block.facets[:-1], 2)]",
+           (ORACLE_PROPERTY,)),
 )
 
 

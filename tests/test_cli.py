@@ -352,10 +352,6 @@ def test_malformed_flag_value_names_the_flag_and_exits_2(
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["optimize", "--model", "sphere:1", "--resolution", "0"],
-     "--resolution needs an integer of at least 1; got 0"),
-    (["optimize", "--model", "sphere:1", "--refine", "-1"],
-     "--refine needs an integer of at least 0; got -1"),
     (["optimize", "--model", "cylinder", "--cap", "0"],
      "--cap needs a rational above 0; got '0'"),
     (["torsion", "--model", "sphere:1", "--fiber", "1/2,1/2"],
@@ -371,8 +367,7 @@ def test_malformed_flag_value_names_the_flag_and_exits_2(
      "--hofer needs a rational above 0; got '0'"),
     (["decompose", "--complex", "no-such-complex.json", "--hofer=-1/2"],
      "--hofer needs a rational above 0; got '-1/2'"),
-], ids=["optimize-resolution-0", "optimize-refine-negative",
-        "optimize-cap-0", "torsion-fiber-dimension", "verify-seed-negative",
+], ids=["optimize-cap-0", "torsion-fiber-dimension", "verify-seed-negative",
         "verify-tol-negative", "verify-tol-nan", "decompose-hofer-0",
         "decompose-hofer-negative"])
 def test_out_of_range_flag_names_the_flag_and_exits_2(capsys, monkeypatch,
@@ -387,9 +382,36 @@ def test_out_of_range_flag_names_the_flag_and_exits_2(capsys, monkeypatch,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["optimize", "--model", "cylinder", "--cap", "-1/3"],
+     "--cap needs a rational above 0; got '-1/3'"),
+    (["torsion", "--model", "sphere:1", "--fiber", "1/2", "--trunc", "-1/2"],
+     "--trunc needs a level above 0; got '-1/2'"),
+    (["polydisk", "--mode", "1.4", "--S", "-1/2"],
+     "S > 0: mode 1.4 requires S > 0"),
+], ids=["optimize-cap", "torsion-trunc", "polydisk-S"])
+def test_negative_rational_given_apart_reaches_the_flag_check(
+        capsys, argv, message):
+    # argparse takes a separate -1/3 for an option name
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flag, value", [("--resolution", "8"),
+                                         ("--refine", "2")],
+                         ids=["resolution", "refine"])
+def test_removed_search_flags_exit_2(capsys, flag, value):
+    # the optimizer is exact, so it takes no grid settings
+    with pytest.raises(SystemExit) as refused:
+        run(["optimize", "--model", "sphere:1", flag, value])
+    captured = capsys.readouterr()
+    assert refused.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["torsion", "--model", "sphere:1", "--fiber", "1/3"],
-    ["optimize", "--model", "sphere:1xsphere:1", "--resolution", "3"],
+    ["optimize", "--model", "sphere:1xsphere:1"],
     ["polydisk", "--mode", "1.4", "--n", "3", "--S", "2"],
     ["snf", "--matrix", "MATRIX"],
     ["decompose", "--complex", "COMPLEX"],
@@ -449,8 +471,7 @@ def test_resolution_out_of_range_exits_2_before_any_grid(
 
 
 def test_optimize_equator_is_nondisplaceable(capsys):
-    code, out, _ = invoke(capsys, "optimize", "--model", "sphere:1xsphere:1",
-                          "--resolution", "4")
+    code, out, _ = invoke(capsys, "optimize", "--model", "sphere:1xsphere:1")
     assert code == 0
     assert "fiber: 1/2, 1/2 (exact)" in out
     assert "value: inf (exact)" in out
@@ -459,8 +480,9 @@ def test_optimize_equator_is_nondisplaceable(capsys):
 
 def test_optimize_sphere_product_at_resolution_40_answers_fast(
         capsys, monkeypatch):
-    # the grid holds 39^4 = 2,313,441 fibers of S2(1)^4; every sphere is
-    # fixed at its equator instead, so one fiber is evaluated
+    # a grid at resolution 40 held 39^4 = 2,313,441 fibers of S2(1)^4;
+    # every sphere is fixed at its equator instead, so one fiber is
+    # evaluated
     calls = []
     evaluate = toric.torsion_threshold_at
 
@@ -472,8 +494,7 @@ def test_optimize_sphere_product_at_resolution_40_answers_fast(
     monkeypatch.setattr(toric, "torsion_threshold_at", counted)
     started = time.perf_counter()
     code, out, _ = invoke(capsys, "optimize", "--model",
-                          "x".join(["sphere:1"] * 4),
-                          "--resolution", "40", "--refine", "0")
+                          "x".join(["sphere:1"] * 4))
     assert time.perf_counter() - started < 1
     assert code == 0
     assert "fiber: 1/2, 1/2, 1/2, 1/2 (exact)" in out
@@ -481,23 +502,23 @@ def test_optimize_sphere_product_at_resolution_40_answers_fast(
 
 
 def test_optimize_cylinder_pair_answers_like_one_cylinder(capsys):
-    # the two cylinders tie for the least threshold, and a move of one
-    # coordinate cannot raise a tie; each is searched alone instead
+    # each cylinder is searched alone, and the inclusive cap is an
+    # interior fiber of C
     code, out, _ = invoke(capsys, "optimize", "--model", "cylinder",
                           "--cap", "3")
-    assert code == 0 and "fiber: 93/32 (exact)" in out
+    assert code == 0 and "fiber: 3 (exact)" in out
     code, out, _ = invoke(capsys, "optimize", "--model",
                           "cylinderxcylinder", "--cap", "3")
     assert code == 0
-    assert "fiber: 93/32, 93/32 (exact)" in out
-    assert "value: 93/32 (= 2.90625, exact)" in out
+    assert "fiber: 3, 3 (exact)" in out
+    assert "value: 3 (= 3, exact)" in out
 
 
 def test_optimize_twelve_cylinders_cost_a_sum_over_blocks(capsys,
                                                           monkeypatch):
-    # one cylinder costs 7 grid points and 2 rounds of 17 moves; a grid
-    # over the product would hold 7^12 fibers
-    bound = 12 * 41 + 1
+    # a cylinder has two candidates, 0 and the cap, and only the cap is
+    # interior; the fiber they make up is evaluated once more
+    bound = 12 * 2 + 1
     calls = []
     evaluate = toric.torsion_threshold_at
 
@@ -512,8 +533,8 @@ def test_optimize_twelve_cylinders_cost_a_sum_over_blocks(capsys,
                           "x".join(["cylinder"] * 12), "--cap", "3")
     assert time.perf_counter() - started < 1
     assert code == 0
-    assert "fiber: " + ", ".join(["93/32"] * 12) + " (exact)" in out
-    assert "value: 93/32 (= 2.90625, exact)" in out
+    assert "fiber: " + ", ".join(["3"] * 12) + " (exact)" in out
+    assert "value: 3 (= 3, exact)" in out
 
 
 def run_in_process(*argv):
@@ -521,7 +542,10 @@ def run_in_process(*argv):
     set up once per test, not once per ``hypothesis`` example."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(list(argv))
+        try:
+            code = run(list(argv))
+        except SystemExit as exc:  # argparse refusals
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -536,8 +560,9 @@ def _report_line(out, key):
 def toric_invocations(draw):
     """``optimize`` or ``torsion`` on an inline model of one to five
     factors (sphere and CP^k sizes from -1 to 8 over 1 to 3, k from 0 to
-    3), with ``--resolution`` 0 to 6, ``--refine`` -1 to 3, and ``--cap``
-    and ``--trunc`` absent, 0 or positive; a ``torsion`` fiber has the
+    3), with ``--cap`` and ``--trunc`` absent, 0 or positive, a cap of
+    -1/3 given apart now and then, and once in a while one of the removed
+    flags ``--resolution`` and ``--refine``; a ``torsion`` fiber has the
     model's dimension or one more, with coordinates on a grid of 1/4.
     Returns the arguments and the ``--trunc`` arguments apart."""
     def size(least=-1):
@@ -562,10 +587,10 @@ def toric_invocations(draw):
                                   ["--trunc", "0"])))
     if draw(st.sampled_from(("optimize", "torsion"))) == "optimize":
         cap = draw(st.sampled_from((["--cap", size(1)], [],
-                                    ["--cap", "0"])))
-        return ["optimize", "--model", model,
-                "--resolution", str(draw(st.integers(0, 6))),
-                "--refine", str(draw(st.integers(-1, 3))), *cap], trunc
+                                    ["--cap", "0"], ["--cap", "-1/3"])))
+        removed = draw(st.sampled_from(([],) * 8 + (["--resolution", "8"],
+                                                    ["--refine", "2"])))
+        return ["optimize", "--model", model, *cap, *removed], trunc
     fiber = ",".join(f"{draw(st.sampled_from((*range(1, 13), 0)))}/4"
                      for _ in range(dim + draw(st.sampled_from((0, 0, 1)))))
     return ["torsion", "--model", model, "--fiber", fiber or "0"], trunc
@@ -580,6 +605,11 @@ def test_toric_commands_answer_or_refuse_and_optimize_agrees_with_torsion(
     assert code in (0, 2, 3)
     assert "Traceback" not in err
     assert code == 0 or out == ""
+    if "--resolution" in argv or "--refine" in argv:
+        assert code == 2 and "unrecognized arguments" in err
+    if "-1/3" in argv:
+        # refused by the model's reader or by the cap's own check
+        assert code == 2 and "expected one argument" not in err
     if argv[0] == "optimize" and code == 0:
         fiber = _report_line(out, "fiber").removesuffix(" (exact)")
         code, checked, _ = run_in_process(

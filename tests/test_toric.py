@@ -2,12 +2,13 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grid_oracle import grid_search
+from grid_oracle import coordinate_intervals, grid_search, vertex_search
 from koszul import koszul_complex
 from torsionlab import toric
 from torsionlab.errors import EmptyInterior, FiberOnBoundary
@@ -18,7 +19,6 @@ from torsionlab.toric import (
     Factor,
     MomentModel,
     boundary_covector,
-    coordinate_intervals,
     cylinder_factor,
     facet_areas,
     floer_cohomology,
@@ -542,60 +542,112 @@ def test_vertices_are_enumerated_one_factor_at_a_time(monkeypatch):
 
 
 def test_optimize_equator_short_circuit():
-    result = optimize_threshold(sphere_factor(1), resolution=2)
+    result = optimize_threshold(sphere_factor(1))
     assert result.fiber == (F(1, 2),)
     assert is_infinite(result.value)
     assert result.non_displaceable
 
 
 def test_optimize_product_equators():
-    result = optimize_threshold(product(sphere_factor(1), sphere_factor(1)),
-                                resolution=2)
+    result = optimize_threshold(product(sphere_factor(1), sphere_factor(1)))
     assert result.fiber == (F(1, 2), F(1, 2))
     assert is_infinite(result.value)
 
 
-def test_optimize_grid_values_without_refinement():
-    # the sphere sits at its equator, off every odd grid; only the
-    # cylinder coordinate takes grid values
-    assert is_infinite(optimize_threshold(sphere_factor(1), resolution=3,
-                                          refine_rounds=0).value)
-    model = product(sphere_factor(1), cylinder_factor())
-    coarse = optimize_threshold(model, resolution=3, cap=1, refine_rounds=0)
-    assert coarse.fiber == (F(1, 2), F(2, 3)) and coarse.value == F(2, 3)
-    assert optimize_threshold(model, resolution=9, cap=1,
-                              refine_rounds=0).value == F(8, 9)
-
-
-def test_optimize_refinement_finds_equator_from_odd_grid():
-    result = optimize_threshold(sphere_factor(1), resolution=3)
-    assert is_infinite(result.value)
-    assert result.fiber == (F(1, 2),)
-
-
 def test_optimize_monotone_under_grid_refinement():
+    # nested grids never lower the grid's answer, and the exact answer
+    # is at least that of the finest grid
     rng = random.Random(31337)
     for _ in range(6):
         model, _ = random_model(rng)
         cap = F(3)
-        coarse = optimize_threshold(model, resolution=3, cap=cap,
-                                    refine_rounds=0)
-        fine = optimize_threshold(model, resolution=6, cap=cap,
-                                  refine_rounds=0)
-        assert fine.value >= coarse.value
+        coarse = grid_search(model, resolution=3, cap=cap, refine_rounds=0)
+        fine = grid_search(model, resolution=6, cap=cap, refine_rounds=0)
+        assert optimize_threshold(model, cap=cap).value >= fine.value \
+            >= coarse.value
 
 
 def test_optimize_cylinder_pushes_to_cap():
-    result = optimize_threshold(cylinder_factor(), resolution=4, cap=2,
-                                refine_rounds=0)
-    assert result.fiber == (F(3, 2),)
-    assert result.value == F(3, 2)
+    # the cap is an inclusive bound, and the fiber at the cap is interior
+    result = optimize_threshold(cylinder_factor(), cap=2)
+    assert result.fiber == (F(2),)
+    assert result.value == F(2)
 
 
-def test_optimize_empty_grid():
-    with pytest.raises(EmptyInterior):
-        optimize_threshold(cylinder_factor(), resolution=1, cap=2,
-                           refine_rounds=0)
+def test_optimize_empty_box():
+    # the half line u >= 5 capped at 1 leaves the box [5, 5], on the
+    # boundary
+    with pytest.raises(EmptyInterior, match=r"no interior point in \[5, 5\]"):
+        optimize_threshold(facet_model(1, [((1,), 5)]), cap=1)
+
+
+def test_optimize_ignores_a_resolution():
+    # callers written for the grid search still pass one
+    model = product(facet_model(2, [((1, 0), 0), ((0, 1), 0),
+                                    ((-1, -1), -3), ((1, 1), 1)]),
+                    cylinder_factor())
+    for trunc in (None, F(1, 2), F(3)):
+        plain = optimize_threshold(model, cap=2, trunc=trunc)
+        assert optimize_threshold(model, cap=2, trunc=trunc,
+                                  resolution=3) == plain
+
+
+def test_optimize_shifted_hexagon_reaches_two_at_its_centre():
+    # the grid search answered 4/3 at resolution 3 and 8/5 at resolution
+    # 5, refined or not; a resolution is now ignored
+    hexagon = facet_model(2, [((1, 0), -2), ((0, 1), -2), ((-1, -1), -2),
+                              ((-1, 0), -2), ((0, -1), -2),
+                              ((1, 1), F(-5, 2))])
+    model = product(sphere_factor(1), hexagon)
+    for resolution in (None, 3, 5):
+        result = optimize_threshold(model, resolution=resolution)
+        assert result.fiber == (F(1, 2), F(0), F(0))
+        assert result.value == F(2)
+
+
+def test_optimize_blown_up_cp2_reaches_one_where_all_areas_meet():
+    # CP2(3) blown up by u1 + u2 >= 1: every facet has area 1 at (1, 1),
+    # off every grid of the search that answered 15/16 at its defaults
+    # and 39/40 at resolution 40
+    model = facet_model(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), -3),
+                            ((1, 1), 1)])
+    result = optimize_threshold(model)
+    assert result.fiber == (F(1), F(1))
+    assert result.value == F(1)
+
+
+def test_optimize_3d_block_of_eight_facets_answers_in_two_seconds():
+    # C(C(8,2) + 6, 3) = 5,984 candidate vertices
+    cube = facet_model(3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+                           ((-1, 0, 0), -3), ((0, -1, 0), -3),
+                           ((0, 0, -1), -3), ((-1, -1, -1), -7),
+                           ((1, 1, 1), 1)])
+    started = time.perf_counter()
+    result = optimize_threshold(cube)
+    assert time.perf_counter() - started < 2
+    # at (3/2, 3/2, 3/2) the facets of area 3/2 cancel in pairs; the
+    # vertex oracle gives 5/2 too, in 3.4 s
+    assert result.value == F(5, 2)
+
+
+def test_optimize_refuses_a_block_over_budget_before_any_solve(monkeypatch):
+    def no_solve(rows, rhs):
+        raise AssertionError("a system was solved")
+    monkeypatch.setattr(toric, "_solve", no_solve)
+    # a 4-cube with two corners cut; its normals do not sum to zero, so
+    # not even its balanced point is solved for
+    normals = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    block = facet_model(4, [(n, 0) for n in normals]
+                        + [(tuple(-c for c in n), -3) for n in normals]
+                        + [((-1, -1, -1, -1), -7), ((1, 1, 0, 0), 1)])
+    started = time.perf_counter()
+    with pytest.raises(ValueError) as refused:
+        optimize_threshold(product(cylinder_factor(), block), cap=1)
+    assert time.perf_counter() - started < 0.1
+    assert str(refused.value) == (
+        "the block over coordinates [1, 2, 3, 4] has m = 10 facets in "
+        "d = 4 dimensions, so C(C(m,2) + 2d, d) = 292825 candidate "
+        f"vertices, over the budget of {toric.CANDIDATE_BUDGET}")
 
 
 # two-dimensional facet blocks for the optimizer property
@@ -677,18 +729,18 @@ def optimizer_cases(draw):
 @given(optimizer_cases())
 def test_optimizer_never_below_the_grid_and_true_at_its_fiber(case):
     model, resolution, refine, trunc, cap, balanced = case
-
-    def search(optimizer):
-        return outcome(lambda: optimizer(model, resolution=resolution,
-                                         cap=cap, refine_rounds=refine,
-                                         trunc=trunc))
-    expected = search(grid_search)
-    found = search(optimize_threshold)
+    expected = outcome(lambda: grid_search(
+        model, resolution=resolution, cap=cap, refine_rounds=refine,
+        trunc=trunc))
+    found = outcome(lambda: optimize_threshold(model, cap=cap, trunc=trunc))
     grid_missed = isinstance(expected, tuple) and \
         expected[1].startswith("no interior grid point")
+    if isinstance(found, tuple) and found[0] is EmptyInterior and grid_missed:
+        # the polytope meets its box in no interior point, so no grid can
+        return
     if isinstance(found, tuple) or (isinstance(expected, tuple)
                                     and not grid_missed):
-        # every refusal but a grid without interior points stays as it was
+        # every other refusal stays as it was
         assert found == expected
         return
     if not grid_missed:
@@ -703,10 +755,57 @@ def test_optimizer_never_below_the_grid_and_true_at_its_fiber(case):
             ModuleDecomposition(betti=2 ** model.dim, torsion=())
 
 
+# three-dimensional facet blocks whose normals do not sum to zero: CP^3
+# blown up at a point, the simplex with one facet normal doubled in its
+# last coordinate, a triangle times an interval with a sheared top, and
+# C^3 blown up at the origin, which is unbounded
+OPTIMIZER_BLOCKS_3D = (
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1)),
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -2)),
+    ((1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (1, 0, -1)),
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)),
+)
+
+
+@st.composite
+def unbalanced_blocks(draw):
+    """A block of ``OPTIMIZER_BLOCKS`` or ``OPTIMIZER_BLOCKS_3D`` with
+    every facet at one area s > 0 from a drawn point, each facet shifted
+    now and then, so that the blocks whose normals sum to zero are
+    unbalanced too unless no facet moved; with a truncation and a cap."""
+    normals = draw(st.sampled_from(OPTIMIZER_BLOCKS + OPTIMIZER_BLOCKS_3D))
+    dim = len(normals[0])
+    point = [F(draw(st.integers(-4, 4)), 2) for _ in range(dim)]
+    area = F(draw(st.integers(1, 4)), 2)
+    block = facet_model(dim, [
+        (normal, sum(c * x for c, x in zip(normal, point)) - area
+         + draw(st.sampled_from((0, 0, F(1, 2), F(-1, 2)))))
+        for normal in normals])
+    trunc = draw(st.sampled_from((None, F(draw(st.integers(1, 16)), 4))))
+    cap = draw(st.sampled_from((None, F(1), F(7, 2))))
+    return block, trunc, cap
+
+
+@settings(max_examples=80)
+@given(unbalanced_blocks())
+def test_optimizer_equals_the_vertex_oracle_on_unbalanced_blocks(case):
+    block, trunc, cap = case
+    expected = outcome(lambda: vertex_search(block, cap=cap, trunc=trunc))
+    found = outcome(lambda: optimize_threshold(block, cap=cap, trunc=trunc))
+    if isinstance(expected, tuple) or isinstance(found, tuple):
+        # both refuse: the same missing cap, or no interior point
+        assert isinstance(expected, tuple) and isinstance(found, tuple)
+        assert expected[0] is found[0]
+        assert expected[0] is EmptyInterior or expected == found
+        return
+    assert found.value == expected.value
+    assert found.value == torsion_threshold_at(block, found.fiber, trunc)
+
+
 @st.composite
 def factor_lists(draw):
     """Two to four factors, each a sphere, CP^1, CP^2, a cylinder or a
-    facet block (see ``facet_block``), with search settings."""
+    facet block (see ``facet_block``), with a truncation and a cap."""
     factors = []
     for _ in range(draw(st.integers(2, 4))):
         kind = draw(st.sampled_from(("sphere", "cp", "cylinder", "facets")))
@@ -721,19 +820,19 @@ def factor_lists(draw):
             factors.append(cylinder_factor())
         else:
             factors.append(facet_block(draw)[0])
-    return factors, *search_settings(draw)
+    _, _, trunc, cap = search_settings(draw)
+    return factors, trunc, cap
 
 
 @settings(max_examples=150)
 @given(factor_lists())
 def test_optimizer_answers_a_product_from_its_factors_alone(case):
     # blocks have disjoint coordinates, so each is searched on its own
-    factors, resolution, refine, trunc, cap = case
+    factors, trunc, cap = case
 
     def search(model):
-        return outcome(lambda: optimize_threshold(
-            model, resolution=resolution, cap=cap, refine_rounds=refine,
-            trunc=trunc))
+        return outcome(lambda: optimize_threshold(model, cap=cap,
+                                                  trunc=trunc))
     alone = [search(factor) for factor in factors]
     if any(isinstance(answer, tuple) for answer in alone):
         return
