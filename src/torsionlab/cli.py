@@ -183,13 +183,12 @@ def _load_model(text: str):
 def _cmd_torsion(args) -> tuple[Report, int]:
     model = _load_model(args.model)
     fiber = _parse_fiber(args.fiber)
-    trunc = _parse_trunc(args.trunc)
     if len(fiber) != model.dim:
         raise ValueError(f"--fiber has {len(fiber)} coordinates; the model "
                          f"has dimension {model.dim}")
     areas = facet_areas(model, fiber)
-    covector = boundary_covector(model, fiber, trunc)
-    decomposition = floer_cohomology(model, fiber, trunc)
+    covector = boundary_covector(model, fiber)
+    decomposition = floer_cohomology(model, fiber)
     threshold = torsion_threshold(decomposition)
     report = Report("torsion")
     report.add("model", model.description)
@@ -201,7 +200,6 @@ def _cmd_torsion(args) -> tuple[Report, int]:
     report.add("torsion", [exact_number(v) for v in decomposition.torsion])
     report.add("threshold", exact_number(threshold))
     report.add("non_displaceable", bool(is_infinite(threshold)))
-    report.add("trunc", "auto" if trunc is None else format_level(trunc))
     return report, 0
 
 
@@ -215,8 +213,7 @@ def _cmd_polydisk(args) -> tuple[Report, int]:
         eps_prime=_number(args.eps2, "--eps2"),
         lam=_number(args.lam, "--lambda"),
     )
-    data = polydisk_bound(spec, allow_extrapolation=args.extrapolate,
-                          trunc=_parse_trunc(args.trunc))
+    data = polydisk_bound(spec, allow_extrapolation=args.extrapolate)
     report = Report("polydisk")
     for key in ("mode", "n", "k", "S", "eps", "eps_prime", "lambda"):
         report.add(key, data[key])
@@ -274,10 +271,9 @@ def _cmd_decompose(args) -> tuple[Report, int]:
 def _cmd_optimize(args) -> tuple[Report, int]:
     model = _load_model(args.model)
     cap = _number(args.cap, "--cap")
-    trunc = _parse_trunc(args.trunc)
     if cap is not None and cap <= 0:
         raise ValueError(f"--cap needs a rational above 0; got {args.cap!r}")
-    search = optimize_threshold(model, cap=cap, trunc=trunc)
+    search = optimize_threshold(model, cap=cap)
     report = Report("optimize")
     report.add("model", model.description)
     report.add("fiber", [exact_number(c) for c in search.fiber])
@@ -342,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "sphere:3/2xsphere:5xsphere:5")
     p.add_argument("--fiber", required=True,
                    help="comma separated rationals, e.g. 3/4,2,2")
-    p.add_argument("--trunc", help="truncation level p/q or inf")
 
     p = sub.add_parser("polydisk",
                        help="displacement energy bound for a polydisk")
@@ -356,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extrapolate", action="store_true",
                    help="report an uncertified bound outside the "
                         "size hypothesis")
-    p.add_argument("--trunc")
 
     p = sub.add_parser("snf", help="diagonalize a matrix over the "
                                    "bounded Novikov ring")
@@ -374,7 +368,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="maximize the torsion threshold over fibers")
     p.add_argument("--model", required=True)
     p.add_argument("--cap", help="inclusive cap p/q for unbounded directions")
-    p.add_argument("--trunc")
 
     p = sub.add_parser("verify", help="run a numerical verification suite")
     p.add_argument("--suite", required=True,

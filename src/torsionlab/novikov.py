@@ -64,7 +64,7 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import PrecisionExhausted
 from .rationals import INFINITE, Level, as_level, is_infinite
@@ -275,14 +275,6 @@ class NovikovElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "NovikovElement":
-        if exponent < 0:
-            return invert(self) ** (-exponent)
-        out = NovikovElement.one()
-        for _ in range(exponent):
-            out = out * self
-        return out
-
     def __truediv__(self, other) -> "NovikovElement":
         other = self._coerce(other)
         if other is NotImplemented:
@@ -315,9 +307,6 @@ class NovikovElement:
     def __repr__(self) -> str:
         level = "" if self._level == INFINITE else f" (mod T^{self.trunc})"
         return f"<{to_text(self)}{level}>"
-
-    def __iter__(self) -> Iterator[Term]:
-        return iter(self.terms)
 
 
 def _reduced(terms, scale: int, den: int, level: _Level) -> NovikovElement:

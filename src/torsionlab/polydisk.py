@@ -176,12 +176,14 @@ def _claim(spec: PolydiskSpec, bound: Level) -> str:
 
 
 def polydisk_bound(spec: PolydiskSpec, allow_extrapolation: bool = False,
-                   trunc: Level | None = None) -> dict:
+                   trunc=None) -> dict:
     """Full report: computed threshold, certification status, constraint
-    table, containment facts, and the ambient data."""
+    table, containment facts, and the ambient data.  The threshold is
+    exact; ``trunc`` is ignored, and ``perfbench/exact_core.py`` still
+    passes it."""
     model, listing, fiber, facts = build_ambient(spec, allow_extrapolation)
     table = constraint_table(spec)
-    bound = torsion_threshold_at(model, fiber, trunc)
+    bound = torsion_threshold_at(model, fiber)
     certified = all(row["ok"] for row in table)
     return {
         "mode": spec.mode,

@@ -30,14 +30,13 @@ the lattice takes w to (T^v * unit, 0, ..., 0).  The complex then splits
 as K(T^v) (x) Lambda(n - 1): the one-variable complex contributes a
 single summand (bounded subring)/T^v, and the exterior algebra on the
 remaining n - 1 directions repeats it 2^(n-1) times.  When w vanishes
-below the truncation every differential is zero and the cohomology is
-free of rank 2^n.  The torsion threshold, v or +inf, is a lower bound
-for the displacement energy of the fiber.
+every differential is zero and the cohomology is free of rank 2^n.  The
+torsion threshold, v or +inf, is a lower bound for the displacement
+energy of the fiber.
 
 Since w is a finite sum, v needs no ring arithmetic: group the facets by
 area and sum the normals in each group; v is the smallest area whose
-summed normal is nonzero.  A truncation level ``trunc`` gives the answer
-as seen below that level; omitting it gives the exact answer.
+summed normal is nonzero.  Every answer here is therefore exact.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyInterior, FiberOnBoundary
 from .novikov import NovikovElement
-from .rationals import INFINITE, Level, as_level, is_infinite
+from .rationals import INFINITE, Level, is_infinite
 from .valmat import ModuleDecomposition, _fields, _is_count
 
 
@@ -189,49 +188,47 @@ def potential(model: MomentModel, fiber: Sequence) -> NovikovElement:
     return NovikovElement((1, area) for area in facet_areas(model, fiber))
 
 
-def boundary_covector(model: MomentModel, fiber: Sequence,
-                      trunc: Level | None = None
+def boundary_covector(model: MomentModel, fiber: Sequence
                       ) -> tuple[NovikovElement, ...]:
     """The contraction covector w with w_i = sum_j T^(area_j) normal_j[i],
-    below ``trunc`` (exact when omitted).
+    as exact elements.
 
     Components cancel exactly when facet areas balance, e.g. over the
     equator of a sphere factor.
     """
-    level = INFINITE if trunc is None else as_level(trunc)
     terms: list[list] = [[] for _ in range(model.dim)]
     for area, normal in _area_normals(model, fiber).items():
         for i, c in normal.items():
             if c:
                 terms[i].append((c, area))
-    return tuple(NovikovElement(component, level) for component in terms)
+    return tuple(NovikovElement(component) for component in terms)
 
 
 def floer_cohomology(model: MomentModel, fiber: Sequence,
-                     trunc: Level | None = None) -> ModuleDecomposition:
+                     trunc=None) -> ModuleDecomposition:
     """Aggregate decomposition over all degrees, in closed form.
 
     With v the smallest valuation among the covector components, the
-    cohomology is free of rank 2^n when v is infinite (w vanishes below
-    the truncation) and otherwise 2^(n-1) torsion summands of exponent
-    v: a unimodular change of basis takes w to (T^v * unit, 0, ..., 0),
-    and the Koszul complex becomes K(T^v) (x) Lambda(n - 1).
+    cohomology is free of rank 2^n when v is infinite (w vanishes) and
+    otherwise 2^(n-1) torsion summands of exponent v: a unimodular
+    change of basis takes w to (T^v * unit, 0, ..., 0), and the Koszul
+    complex becomes K(T^v) (x) Lambda(n - 1).  ``trunc`` is ignored,
+    since the answer is exact; ``perfbench/exact_core.py`` still passes
+    it.
     """
-    value = torsion_threshold_at(model, fiber, trunc)
+    value = torsion_threshold_at(model, fiber)
     if is_infinite(value):
         return ModuleDecomposition(betti=2 ** model.dim, torsion=())
     return ModuleDecomposition(betti=0,
                                torsion=(value,) * 2 ** (model.dim - 1))
 
 
-def torsion_threshold_at(model: MomentModel, fiber: Sequence,
-                         trunc: Level | None = None) -> Level:
+def torsion_threshold_at(model: MomentModel, fiber: Sequence) -> Level:
     """Torsion threshold of the fiber's cohomology: the smallest facet
-    area below ``trunc`` whose summed normal is nonzero (the smallest
-    covector valuation), +inf when there is none."""
-    level = INFINITE if trunc is None else as_level(trunc)
+    area whose summed normal is nonzero (the smallest covector
+    valuation), +inf when there is none."""
     return min((area for area, normal in _area_normals(model, fiber).items()
-                if area < level and any(normal.values())), default=INFINITE)
+                if any(normal.values())), default=INFINITE)
 
 
 # -- optimization over the fiber location --------------------------------
@@ -300,8 +297,7 @@ def _balanced_point(block: Factor) -> tuple[Fraction, ...] | None:
     """The point where every facet of the block has one area s > 0, when
     the block's normals sum to zero and <n_j, u> - c_j = s fixes (u, s);
     None otherwise.  There the block's facets share one area and their
-    normals cancel, so the block adds no nonzero summed normal at any
-    level."""
+    normals cancel, so the block adds no nonzero summed normal."""
     facets = block.facets
     if not facets or any(map(sum, zip(*(f.normal for f in facets)))):
         return None
@@ -361,16 +357,15 @@ class ThresholdSearch:
     non_displaceable: bool
 
 
-def _best_vertex(block: Factor, intervals: list[tuple[Fraction, Fraction]],
-                 trunc: Level | None) -> tuple[Fraction, ...]:
+def _best_vertex(block: Factor, intervals: list[tuple[Fraction, Fraction]]
+                 ) -> tuple[Fraction, ...]:
     """The first point of largest threshold strictly inside the block
     among the vertices of its tie hyperplanes a_j(u) = a_k(u) and the
     faces of its closed box ``intervals``; +inf ends the enumeration.
     On each open cell of that arrangement the threshold is one facet
     area or +inf.  It is upper semicontinuous, since merging groups of
     equal area adds their summed normals, and tends to 0 at the block's
-    boundary, so its maximum is at an interior vertex.  ``trunc`` maps
-    the thresholds at or above it to +inf, which keeps their order."""
+    boundary, so its maximum is at an interior vertex."""
     alone = MomentModel((block,))
     planes = [([Fraction(a - b) for a, b in zip(f.normal, g.normal)],
                f.offset - g.offset)
@@ -382,7 +377,7 @@ def _best_vertex(block: Factor, intervals: list[tuple[Fraction, Fraction]],
     for point in _points(planes, block.dim):
         if all(lo <= x <= hi for x, (lo, hi) in zip(point, intervals)) \
                 and alone.is_interior(point):
-            value = torsion_threshold_at(alone, point, trunc)
+            value = torsion_threshold_at(alone, point)
             if best_value is None or value > best_value:
                 best_point, best_value = point, value
                 if is_infinite(value):
@@ -393,8 +388,7 @@ def _best_vertex(block: Factor, intervals: list[tuple[Fraction, Fraction]],
     return best_point
 
 
-def optimize_threshold(model: MomentModel, cap=None,
-                       trunc: Level | None = None,
+def optimize_threshold(model: MomentModel, cap=None, trunc=None,
                        resolution=None) -> ThresholdSearch:
     """Maximize the torsion threshold over interior fibers, exactly.
 
@@ -406,9 +400,10 @@ def optimize_threshold(model: MomentModel, cap=None,
     best vertex (see ``_best_vertex``) in its closed box (see
     ``_intervals``), so ``cap`` is an inclusive bound.  A block over
     ``CANDIDATE_BUDGET`` is refused before any system is solved, and a
-    missing cap before any block is enumerated.  ``resolution`` is
-    ignored; ``perfbench/exact_core.py``, written for the grid search
-    this replaced, still passes it.
+    missing cap before any block is enumerated.  ``trunc`` and
+    ``resolution`` are ignored, since the answer is exact;
+    ``perfbench/exact_core.py``, written for truncated answers and the
+    grid search this replaced, still passes them.
     """
     placed: dict[int, Fraction] = {}
     searched = []
@@ -428,9 +423,9 @@ def optimize_threshold(model: MomentModel, cap=None,
                 f"candidate vertices, over the budget of {CANDIDATE_BUDGET}")
     boxes = [_intervals(coords, block, cap) for coords, block in searched]
     for (coords, block), box in zip(searched, boxes):
-        placed.update(zip(coords, _best_vertex(block, box, trunc)))
+        placed.update(zip(coords, _best_vertex(block, box)))
     fiber = tuple(placed[i] for i in range(model.dim))
-    value = torsion_threshold_at(model, fiber, trunc)
+    value = torsion_threshold_at(model, fiber)
     return ThresholdSearch(fiber=fiber, value=value,
                            non_displaceable=is_infinite(value))
 
@@ -476,8 +471,11 @@ def model_from_json(data: dict) -> MomentModel:
                              f"integers; got {normal!r}")
         facets.append(_read(where, lambda: Facet(tuple(normal),
                                                  Fraction(entry["offset"]))))
-    return MomentModel((Factor(data["dim"], facets),),
-                       data.get("description", ""))
+    description = data.get("description", "")
+    if not isinstance(description, str):
+        raise ValueError("model JSON field 'description' must be a string; "
+                         f"got {description!r}")
+    return MomentModel((Factor(data["dim"], facets),), description)
 
 
 _FACTOR_KEYS = ("sphere", "cp", "cylinder")

@@ -478,6 +478,8 @@ def _field_level(data: dict, where: str) -> Level | None:
     if value is None:
         return None
     try:
+        if isinstance(value, bool):  # a JSON true is not the level 1
+            raise TypeError
         level = as_level(value)
     except (ValueError, TypeError):
         raise ValueError(f"{where} field 'trunc' is not a level (p/q or "
@@ -495,11 +497,22 @@ def matrix_from_json(data: dict, trunc: Level | None = None,
     ValueError naming it after ``where``."""
     _fields(data, where, ("rows", "cols", "entries"))
     entries = data["entries"]
+    if not (isinstance(entries, list)
+            and all(isinstance(row, list) for row in entries)):
+        raise ValueError(f"{where} field 'entries' must be a list of rows; "
+                         f"got {entries!r}")
     if len(entries) != data["rows"] or any(
             len(row) != data["cols"] for row in entries):
         raise ValueError(f"{where} shape disagrees with entries")
     level = trunc if trunc is not None else _field_level(data, where)
-    matrix = NovikovMatrix(entries, level)
+
+    def entry(i, j, value):
+        try:
+            return parse(value)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{where} row {i} column {j}: {exc}") from None
+    matrix = NovikovMatrix([[entry(i, j, value) for j, value in enumerate(row)]
+                            for i, row in enumerate(entries)], level)
     if matrix.rows == 0:
         return NovikovMatrix.zeros(data["rows"], data["cols"])
     return matrix
@@ -517,6 +530,9 @@ def complex_from_json(data: dict, trunc: Level | None = None) -> ChainComplex:
         raise ValueError("complex JSON field 'ranks' must be a list of "
                          f"non-negative integers; got {ranks!r}")
     blobs = data["differentials"]
+    if not isinstance(blobs, list):
+        raise ValueError("complex JSON field 'differentials' must be a "
+                         f"list; got {blobs!r}")
     if len(blobs) != max(len(ranks) - 1, 0):
         raise ValueError("need exactly one differential per adjacent "
                          "pair of degrees")

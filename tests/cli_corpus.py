@@ -2,18 +2,18 @@
 
 ``corpus(seed, count)`` draws ``torsion``, ``optimize`` and ``polydisk``
 invocations over inline, factor-list JSON and facet JSON models (fibers
-inside, on the boundary of and outside the polytope; ``--trunc``
-absent, ``inf``, p/q or malformed; ``optimize`` also on unbalanced
+inside, on the boundary of and outside the polytope; one time in twenty
+the removed ``--trunc``, which exits 2; ``optimize`` also on unbalanced
 2-D and 3-D facet blocks and on a 4-D block over the optimizer's
 candidate budget, and now and then with the removed ``--resolution`` or
 ``--refine``, which exit 2; polydisk n up to 12), and ``snf`` and
 ``decompose`` invocations on seeded matrix and complex JSON files
 (A06-palette, long and negative-exponent entries, zero and repeated
 rows, Koszul complexes of two elements; malformed entries, shapes,
-ranks and compositions; series pivots that exhaust precision at
-infinite truncation; ``--trunc`` absent, ``inf``, p/q or malformed, and
-``decompose --hofer``).  The same seed gives the same
-invocations.  Run
+entry lists, differential lists, levels, ranks and compositions; series
+pivots that exhaust precision at infinite truncation; ``--trunc``
+absent, ``inf``, p/q or malformed, and ``decompose --hofer``).  The same
+seed gives the same invocations.  Run
 
     python tests/cli_corpus.py --compare OLD_SRC NEW_SRC [--seed N] [--count N]
 
@@ -89,6 +89,7 @@ BAD_FACET_FILES = (
     {"dim": 1, "facets": [{"normal": [2], "offset": "0"}]},
     {"dim": 1, "facets": [{"normal": [1], "offset": "abc"}]},
     {"dim": 1, "facets": [{"normal": [1], "offset": "1/0"}]},
+    {"dim": 1, "facets": [{"normal": [1], "offset": "0"}], "description": 5},
 )
 
 BAD_FACTOR_FILES = (
@@ -273,14 +274,10 @@ def _model(rng: random.Random, index: int, max_dim: int
 
 
 def _trunc(rng: random.Random) -> list[str]:
-    roll = rng.random()
-    if roll < 0.45:
-        return []
-    if roll < 0.6:
-        return ["--trunc", "inf"]
-    if roll < 0.92:
-        return ["--trunc", str(F(rng.randint(1, 24), rng.randint(1, 4)))]
-    return ["--trunc", rng.choice(BAD_NUMBERS)]
+    """The removed --trunc of the toric commands, one time in twenty."""
+    if rng.random() < 0.05:
+        return ["--trunc", rng.choice(("inf", "1", "5/2") + BAD_NUMBERS)]
+    return []
 
 
 def _torsion(rng: random.Random, index: int) -> Invocation:
@@ -367,6 +364,8 @@ def _matrix(rng: random.Random) -> dict:
         data["rows"] = rows + 1
     elif roll < 0.1:
         del data["entries"]
+    elif roll < 0.11:
+        data["entries"] = rng.choice((5, ["1"]))
     return data
 
 
@@ -412,8 +411,11 @@ def _exact(rng: random.Random) -> Invocation:
         if rng.random() < 0.3:
             argv += ["--hofer",
                      rng.choice(("1/2", "2", "0", "-1") + BAD_NUMBERS)]
-    if rng.random() < 0.2:
-        data = dict(data, trunc=rng.choice(("3", "11/2", "inf", "0")))
+    roll = rng.random()
+    if roll < 0.2:
+        data = dict(data, trunc=rng.choice(("3", "11/2", "inf", "0", True)))
+    elif roll < 0.22 and "differentials" in data:
+        data = dict(data, differentials=5)
     return Invocation(argv + _exact_trunc(rng), {name: data})
 
 

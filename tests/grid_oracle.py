@@ -42,8 +42,8 @@ def coordinate_intervals(model, cap=None):
     return [intervals[i] for i in range(model.dim)]
 
 
-def grid_search(model, resolution=8, cap=None, refine_rounds=2,
-                trunc=None) -> ThresholdSearch:
+def grid_search(model, resolution=8, cap=None,
+                refine_rounds=2) -> ThresholdSearch:
     """The best interior grid fiber, refined by coordinate descent on
     successively halved windows; a fiber of threshold +inf ends the
     search."""
@@ -52,7 +52,7 @@ def grid_search(model, resolution=8, cap=None, refine_rounds=2,
     intervals = coordinate_intervals(model, cap)
 
     def evaluate(point):
-        return torsion_threshold_at(model, point, trunc)
+        return torsion_threshold_at(model, point)
 
     best_point = None
     best_value = None
@@ -112,7 +112,7 @@ def _eliminate(rows):
     return solution
 
 
-def vertex_search(model, cap=None, trunc=None) -> ThresholdSearch:
+def vertex_search(model, cap=None) -> ThresholdSearch:
     """The first interior fiber of largest threshold among the vertices
     in (u, t) of the hyperplanes a_j(u) = t, a_j(u) = s_G and the box
     faces (see the module docstring), over the model as one polytope; a
@@ -152,7 +152,7 @@ def vertex_search(model, cap=None, trunc=None) -> ThresholdSearch:
         if not all(lo <= x <= hi for x, (lo, hi) in zip(point, intervals)) \
                 or not model.is_interior(point):
             continue
-        value = torsion_threshold_at(model, point, trunc)
+        value = torsion_threshold_at(model, point)
         if best_value is None or value > best_value:
             best_point, best_value = point, value
             if is_infinite(value):

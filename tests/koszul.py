@@ -44,7 +44,7 @@ def koszul_complex(model, fiber, trunc=None) -> ChainComplex:
     """
     level = 2 * max(facet_areas(model, fiber)) if trunc is None \
         else as_level(trunc)
-    covector = boundary_covector(model, fiber, level)
+    covector = boundary_covector(model, fiber)
     n = model.dim
     ranks = [math.comb(n, n - k) for k in range(n + 1)]
     differentials = [contraction_matrix(covector, n - k, level)

@@ -50,6 +50,8 @@ PRODUCT_PROPERTY = ("tests/test_toric.py::"
                     "test_optimizer_answers_a_product_from_its_factors_alone")
 CYLINDER_PAIR = ("tests/test_cli.py::"
                  "test_optimize_cylinder_pair_answers_like_one_cylinder")
+MALFORMED_JSON = ("tests/test_cli.py::"
+                  "test_malformed_json_names_the_field_and_exits_2")
 
 MUTANTS = (
     Mutant("forward pass skips the pivot-row division at infinite level",
@@ -100,6 +102,27 @@ MUTANTS = (
            "for f, g in itertools.combinations(block.facets, 2)]",
            "for f, g in itertools.combinations(block.facets[:-1], 2)]",
            (ORACLE_PROPERTY,)),
+    Mutant("a JSON true read as the level 1",
+           "torsionlab/valmat.py",
+           "        if isinstance(value, bool):", "        if False:",
+           (MALFORMED_JSON,)),
+    Mutant("matrix entries not checked to be a list of rows",
+           "torsionlab/valmat.py",
+           "    if not (isinstance(entries, list)\n"
+           "            and all(isinstance(row, list) for row in entries)):\n",
+           "    if False:\n", (MALFORMED_JSON,)),
+    Mutant("a bad entry not named by its row and column",
+           "torsionlab/valmat.py",
+           'raise ValueError(f"{where} row {i} column {j}: {exc}") from None',
+           "raise", (MALFORMED_JSON,)),
+    Mutant("complex differentials not checked to be a list",
+           "torsionlab/valmat.py",
+           "    if not isinstance(blobs, list):\n", "    if False:\n",
+           (MALFORMED_JSON,)),
+    Mutant("a model description not checked to be a string",
+           "torsionlab/toric.py",
+           "    if not isinstance(description, str):\n", "    if False:\n",
+           (MALFORMED_JSON,)),
 )
 
 

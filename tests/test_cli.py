@@ -234,8 +234,10 @@ def test_snf_rejects_zero_denominator_while_reading_matrix(capsys,
 
 
 @pytest.mark.parametrize("entry, message", [
-    ("1 +", "dangling sign or empty term in '1 +'"),
-    (True, "cannot interpret True as a Novikov element"),
+    ("1 +", "matrix JSON row 0 column 1: dangling sign or empty term in "
+            "'1 +'"),
+    (True, "matrix JSON row 0 column 1: cannot interpret True as a Novikov "
+           "element"),
 ], ids=["dangling-sign", "json-boolean"])
 def test_snf_rejects_a_malformed_entry_while_reading_matrix(
         capsys, tmp_path, entry, message):
@@ -311,6 +313,32 @@ _ONE_DIFFERENTIAL = [{"rows": 1, "cols": 1, "entries": [["T(1)"]]}]
      "got '0'"),
     ("snf", {"rows": 1, "cols": 1, "entries": [["T(1)"]], "trunc": "-1"},
      "matrix JSON field 'trunc' needs a level above 0; got '-1'"),
+    # a JSON true is not the level 1, which would hide T(2)
+    ("snf", {"rows": 1, "cols": 1, "entries": [["T(2)"]], "trunc": True},
+     "matrix JSON field 'trunc' is not a level (p/q or inf): True"),
+    ("decompose", {"ranks": [1, 1], "differentials": _ONE_DIFFERENTIAL,
+                   "trunc": True},
+     "complex JSON field 'trunc' is not a level (p/q or inf): True"),
+    ("snf", {"rows": 1, "cols": 1, "entries": 5},
+     "matrix JSON field 'entries' must be a list of rows; got 5"),
+    ("snf", {"rows": 1, "cols": 1, "entries": ["T(1)"]},
+     "matrix JSON field 'entries' must be a list of rows; got ['T(1)']"),
+    ("decompose", {"ranks": [1, 1], "differentials": 5},
+     "complex JSON field 'differentials' must be a list; got 5"),
+    ("snf", {"rows": 2, "cols": 2, "entries": [["1", "0"], ["0", 5.5]]},
+     "matrix JSON row 1 column 1: cannot interpret 5.5 as a Novikov "
+     "element"),
+    ("snf", {"rows": 1, "cols": 2, "entries": [["e(1)", "1"]]},
+     "matrix JSON row 0 column 0: cannot parse Novikov term 'e(1)'; "
+     "terms are COEFF*T(p/q)"),
+    ("decompose", {"ranks": [1, 2], "differentials": [
+        {"rows": 2, "cols": 1, "entries": [["T(1)"], ["e(1)"]]}]},
+     "complex JSON differential 0 row 1 column 0: cannot parse Novikov "
+     "term 'e(1)'; terms are COEFF*T(p/q)"),
+    ("torsion", {"dim": 1, "description": 5,
+                 "facets": [{"normal": [1], "offset": "0"},
+                            {"normal": [-1], "offset": "-1"}]},
+     "model JSON field 'description' must be a string; got 5"),
 ], ids=["no-entries", "top-level-array", "bad-trunc",
         "differential-without-entries", "extra-differential",
         "fractional-rank", "string-and-bool-ranks", "negative-rank",
@@ -318,7 +346,10 @@ _ONE_DIFFERENTIAL = [{"rows": 1, "cols": 1, "entries": [["T(1)"]]}]
         "facet-without-offset", "factor-not-an-object", "cp-k-not-an-int",
         "fractional-normal", "bool-normal", "string-normal",
         "cylinder-false", "cylinder-one", "complex-trunc-zero",
-        "differential-trunc-zero", "matrix-trunc-negative"])
+        "differential-trunc-zero", "matrix-trunc-negative",
+        "matrix-trunc-true", "complex-trunc-true", "entries-not-a-list",
+        "rows-not-lists", "differentials-not-a-list", "entry-float",
+        "entry-unknown-term", "differential-entry", "description-not-a-string"])
 def test_malformed_json_names_the_field_and_exits_2(capsys, tmp_path,
                                                     command, data, message):
     path = tmp_path / "input.json"
@@ -385,14 +416,15 @@ def test_out_of_range_flag_names_the_flag_and_exits_2(capsys, monkeypatch,
 @pytest.mark.parametrize("argv, message", [
     (["optimize", "--model", "cylinder", "--cap", "-1/3"],
      "--cap needs a rational above 0; got '-1/3'"),
-    (["torsion", "--model", "sphere:1", "--fiber", "1/2", "--trunc", "-1/2"],
+    (["snf", "--matrix", "MATRIX", "--trunc", "-1/2"],
      "--trunc needs a level above 0; got '-1/2'"),
     (["polydisk", "--mode", "1.4", "--S", "-1/2"],
      "S > 0: mode 1.4 requires S > 0"),
-], ids=["optimize-cap", "torsion-trunc", "polydisk-S"])
+], ids=["optimize-cap", "snf-trunc", "polydisk-S"])
 def test_negative_rational_given_apart_reaches_the_flag_check(
-        capsys, argv, message):
+        capsys, matrix_file, argv, message):
     # argparse takes a separate -1/3 for an option name
+    argv = [matrix_file if a == "MATRIX" else a for a in argv]
     code, out, err = invoke(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -419,13 +451,48 @@ def test_removed_search_flags_exit_2(capsys, flag, value):
 @pytest.mark.parametrize("level", ["0", "-1", "-1/2"])
 def test_truncation_at_or_below_zero_exits_2(capsys, matrix_file,
                                              complex_file, argv, level):
-    # a level at or below 0 hides every facet and every entry, so the
-    # answer would claim to be free
+    # a level at or below 0 hides every entry, so the answer would claim
+    # to be free; the toric commands answer exactly and take no level
     files = {"MATRIX": matrix_file, "COMPLEX": complex_file}
     argv = [files.get(a, a) for a in argv] + [f"--trunc={level}"]
-    code, out, err = invoke(capsys, *argv)
-    assert (code, out, err) == (
-        2, "", f"error: --trunc needs a level above 0; got {level!r}\n")
+    if argv[0] in ("snf", "decompose"):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (
+            2, "", f"error: --trunc needs a level above 0; got {level!r}\n")
+        return
+    with pytest.raises(SystemExit) as refused:
+        run(argv)
+    captured = capsys.readouterr()
+    assert (refused.value.code, captured.out) == (2, "")
+    assert f"unrecognized arguments: --trunc={level}" in captured.err
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["torsion", "--model", "sphere:3/2xsphere:5xsphere:5",
+      "--fiber", "3/4,2,2"],
+     ["threshold: 2 (= 2, exact)", "non_displaceable: no"]),
+    (["polydisk", "--mode", "1.4", "--n", "3", "--S", "2"],
+     ["bound: 2 (= 2, exact)", "status: certified"]),
+    (["optimize", "--model", "cylinder", "--cap", "3"],
+     ["fiber: 3 (exact)", "value: 3 (= 3, exact)", "non_displaceable: no"]),
+    (["optimize", "--model", "cylinderxsphere:1", "--cap", "3"],
+     ["fiber: 3, 1/2 (exact)", "value: 3 (= 3, exact)",
+      "non_displaceable: no"]),
+], ids=["torsion", "polydisk", "optimize-cylinder", "optimize-cylinder-sphere"])
+@pytest.mark.parametrize("level", ["1", "1/4"])
+def test_toric_answers_are_exact_and_take_no_level(capsys, argv, lines,
+                                                   level):
+    # at these levels a truncated answer printed inf, "at least inf" or
+    # non_displaceable: yes; the true answers are finite
+    with pytest.raises(SystemExit) as refused:
+        run([*argv, "--trunc", level])
+    captured = capsys.readouterr()
+    assert (refused.value.code, captured.out) == (2, "")
+    assert f"unrecognized arguments: --trunc {level}" in captured.err
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert set(lines) <= set(out.splitlines())
+    assert "trunc" not in out
 
 
 def test_missing_matrix_file_exits_2(capsys):
@@ -560,11 +627,11 @@ def _report_line(out, key):
 def toric_invocations(draw):
     """``optimize`` or ``torsion`` on an inline model of one to five
     factors (sphere and CP^k sizes from -1 to 8 over 1 to 3, k from 0 to
-    3), with ``--cap`` and ``--trunc`` absent, 0 or positive, a cap of
-    -1/3 given apart now and then, and once in a while one of the removed
-    flags ``--resolution`` and ``--refine``; a ``torsion`` fiber has the
-    model's dimension or one more, with coordinates on a grid of 1/4.
-    Returns the arguments and the ``--trunc`` arguments apart."""
+    3), with ``--cap`` absent, 0 or positive, a cap of -1/3 given apart
+    now and then, and once in a while one of the removed flags
+    ``--resolution``, ``--refine`` and ``--trunc``; a ``torsion`` fiber
+    has the model's dimension or one more, with coordinates on a grid of
+    1/4."""
     def size(least=-1):
         # a size of 0 or below is drawn about once in 13 sizes
         numerator = draw(st.sampled_from((*tuple(range(1, 9)) * 3, 0, -1)))
@@ -583,29 +650,28 @@ def toric_invocations(draw):
             tokens.append("cylinder")
             dim += 1
     model = "x".join(tokens)
-    trunc = draw(st.sampled_from(([], ["--trunc", size(1)],
-                                  ["--trunc", "0"])))
+    # the toric answers are exact, so a level is refused one time in 20
+    trunc = draw(st.sampled_from(([],) * 19 + (["--trunc", size(1)],)))
     if draw(st.sampled_from(("optimize", "torsion"))) == "optimize":
         cap = draw(st.sampled_from((["--cap", size(1)], [],
                                     ["--cap", "0"], ["--cap", "-1/3"])))
         removed = draw(st.sampled_from(([],) * 8 + (["--resolution", "8"],
                                                     ["--refine", "2"])))
-        return ["optimize", "--model", model, *cap, *removed], trunc
+        return ["optimize", "--model", model, *cap, *removed, *trunc]
     fiber = ",".join(f"{draw(st.sampled_from((*range(1, 13), 0)))}/4"
                      for _ in range(dim + draw(st.sampled_from((0, 0, 1)))))
-    return ["torsion", "--model", model, "--fiber", fiber or "0"], trunc
+    return ["torsion", "--model", model, "--fiber", fiber or "0", *trunc]
 
 
 @settings(max_examples=100)
 @given(toric_invocations())
 def test_toric_commands_answer_or_refuse_and_optimize_agrees_with_torsion(
-        case):
-    argv, trunc = case
-    code, out, err = run_in_process(*argv, *trunc)
+        argv):
+    code, out, err = run_in_process(*argv)
     assert code in (0, 2, 3)
     assert "Traceback" not in err
     assert code == 0 or out == ""
-    if "--resolution" in argv or "--refine" in argv:
+    if {"--resolution", "--refine", "--trunc"} & set(argv):
         assert code == 2 and "unrecognized arguments" in err
     if "-1/3" in argv:
         # refused by the model's reader or by the cap's own check
@@ -613,18 +679,168 @@ def test_toric_commands_answer_or_refuse_and_optimize_agrees_with_torsion(
     if argv[0] == "optimize" and code == 0:
         fiber = _report_line(out, "fiber").removesuffix(" (exact)")
         code, checked, _ = run_in_process(
-            "torsion", "--model", argv[2], "--fiber", fiber.replace(" ", ""),
-            *trunc)
+            "torsion", "--model", argv[2], "--fiber", fiber.replace(" ", ""))
         assert code == 0
         assert _report_line(checked, "threshold") == \
             _report_line(out, "value")
 
 
+# well-formed entries, a unit whose quotients are infinite series among
+# them, and malformed ones
+ENTRY_TEXTS = ("0", "1", "-2", "1/2", "T(1)", "T(1/2) - T(3/2)", "1 - T(1)",
+               "3*T(-1/2)")
+BAD_ENTRIES = (5.5, True, None, "e(1)", "1 +", [1])
+NUMBERS = ("1", "2", "3/2", "5", "1/3") * 3 + ("0", "-1", "abc")
+
+
+def _matrix_data(draw, rows, cols):
+    """A matrix object of the given shape, an entry malformed about one
+    time in 14, and now and then a malformed shape, entry list or
+    level."""
+    entries = [[draw(st.sampled_from(ENTRY_TEXTS * 12 + BAD_ENTRIES))
+                for _ in range(cols)] for _ in range(rows)]
+    data = {"rows": rows, "cols": cols, "entries": entries}
+    fault = draw(st.sampled_from((None,) * 12 + ("rows", "entries", "row")))
+    if fault == "rows":
+        data["rows"] = rows + 1
+    elif fault == "entries":
+        data["entries"] = 5
+    elif fault == "row" and rows:
+        entries[0] = "1"
+    level = draw(st.sampled_from((None,) * 6 + ("3", "inf", "0", True,
+                                                "abc")))
+    if level is not None:
+        data["trunc"] = level
+    return data
+
+
+# a pentagon and a triangle times an interval, facets as (normal, offset)
+FACET_POLYTOPES = (
+    (((1, 0), "0"), ((0, 1), "0"), ((-1, 0), "-3"), ((0, -1), "-2"),
+     ((-1, -1), "-4")),
+    (((1, 0, 0), "0"), ((0, 1, 0), "0"), ((-1, -1, 0), "-2"),
+     ((0, 0, 1), "0"), ((0, 0, -1), "-1")),
+)
+
+
+def _model_data(draw):
+    """A factor list, a facet file of ``FACET_POLYTOPES`` or a facet file
+    of up to five drawn facets in up to three coordinates; a malformed
+    description now and then."""
+    kind = draw(st.sampled_from(("factors", "polytope", "drawn")))
+    if kind == "factors":
+        factors = draw(st.lists(st.sampled_from((
+            {"sphere": "1"}, {"sphere": "3/2"}, {"cp": {"k": 2, "lambda": "3"}},
+            {"cylinder": True}, {"sphere": "0"}, {"cp": {"k": "a"}})),
+            min_size=1, max_size=3))
+        dim = sum(2 if "cp" in f else 1 for f in factors)
+        return {"product": factors}, dim
+    if kind == "polytope":
+        facets = draw(st.sampled_from(FACET_POLYTOPES))
+        dim = len(facets[0][0])
+    else:
+        dim = draw(st.integers(0, 3))
+        facets = [([draw(st.integers(-1, 1)) for _ in range(dim)],
+                   draw(st.sampled_from(("0", "-1", "-2", "1/2", "-5/2"))))
+                  for _ in range(draw(st.integers(0, 5)))]
+    data = {"dim": dim, "facets": [{"normal": list(normal), "offset": offset}
+                                   for normal, offset in facets]}
+    description = draw(st.sampled_from((None, None, "block", 5)))
+    if description is not None:
+        data["description"] = description
+    return data, dim
+
+
+@st.composite
+def file_invocations(draw):
+    """``polydisk`` with drawn flags, ``snf`` on a matrix file,
+    ``decompose`` on a complex file and ``torsion`` or ``optimize`` on a
+    model file (see ``_matrix_data`` and ``_model_data``), each flag now
+    and then malformed; a toric command passes the removed ``--trunc``
+    one time in 20.  Returns the arguments, with ``@name`` standing for
+    the file ``name``, and the files."""
+    command = draw(st.sampled_from(("polydisk", "snf", "decompose",
+                                    "torsion", "optimize")))
+    files = {}
+    if command in ("snf", "decompose"):
+        level = draw(st.sampled_from(([],) * 6 + (
+            ["--trunc", "3"], ["--trunc", "inf"], ["--trunc", "0"],
+            ["--trunc", "abc"])))
+    else:
+        level = draw(st.sampled_from(([],) * 19 + (["--trunc", "3"],)))
+    if command == "polydisk":
+        mode = draw(st.sampled_from(("1.4", "1.5", "1.3") * 5 + ("2",)))
+        n = draw(st.sampled_from((2, 2, 3, 4, 0)))
+        argv = ["polydisk", "--mode", mode, "--n", str(n),
+                "--S", draw(st.sampled_from(("2", "5/2", "3/2") * 4
+                                            + NUMBERS))]
+        if mode == "1.5" or draw(st.integers(0, 9)) == 0:
+            argv += ["--k", str(draw(st.integers(0, n + 1)))]
+        for flag in ("--eps", "--eps2", "--lambda"):
+            if draw(st.integers(0, 3)) == 0:
+                argv += [flag, draw(st.sampled_from(NUMBERS))]
+        if draw(st.booleans()):
+            argv.append("--extrapolate")
+        return argv + level, files
+    if command == "snf":
+        files["input.json"] = _matrix_data(
+            draw, draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        return ["snf", "--matrix", "@input.json", *level], files
+    if command == "decompose":
+        ranks = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+        data = {"ranks": ranks, "differentials": [
+            _matrix_data(draw, after, before)
+            for before, after in zip(ranks, ranks[1:])]}
+        fault = draw(st.sampled_from((None,) * 10 + (
+            "differentials", "ranks", "trunc")))
+        if fault == "differentials":
+            data["differentials"] = 5
+        elif fault == "ranks":
+            data["ranks"] = [1.5, True]
+        elif fault == "trunc":
+            data["trunc"] = True
+        files["input.json"] = data
+        argv = ["decompose", "--complex", "@input.json"]
+        if draw(st.booleans()):
+            argv += ["--hofer", draw(st.sampled_from(NUMBERS))]
+        return argv + level, files
+    files["model.json"], dim = _model_data(draw)
+    if command == "optimize":
+        cap = draw(st.sampled_from(([], ["--cap", "2"], ["--cap", "7/2"])))
+        return ["optimize", "--model", "@model.json", *cap, *level], files
+    fiber = ",".join(draw(st.sampled_from(("1/4", "1/2", "3/4", "1", "3/2",
+                                           "0")))
+                     for _ in range(dim))
+    return ["torsion", "--model", "@model.json", "--fiber", fiber or "0",
+            *level], files
+
+
+@settings(max_examples=150)
+@given(file_invocations())
+def test_file_commands_answer_or_refuse(tmp_path_factory, case):
+    argv, files = case
+    directory = tmp_path_factory.mktemp("files")
+    for name, data in files.items():
+        (directory / name).write_text(json.dumps(data))
+    argv = [str(directory / a[1:]) if a.startswith("@") else a
+            for a in argv]
+    code, out, err = run_in_process(*argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code:
+        assert out == "" and err
+    else:
+        assert out.startswith(f"command: {argv[0]}\n")
+    if argv[0] in ("torsion", "optimize", "polydisk") and "--trunc" in argv:
+        assert code == 2 and "unrecognized arguments: --trunc" in err
+
+
 def test_torsion_at_infinite_truncation_answers(capsys):
-    # the normal form of this fiber's complex would need an infinite series
+    # the normal form of this fiber's complex would need an infinite
+    # series; the closed form answers exactly, at no finite level
     code, out, _ = invoke(capsys, "torsion",
                           "--model", "sphere:1xsphere:3/2",
-                          "--fiber", "1/3,1/2", "--trunc", "inf")
+                          "--fiber", "1/3,1/2")
     assert code == 0
     assert "torsion: 1/3, 1/3 (exact)" in out
     assert "threshold: 1/3 (= 0.333333, exact)" in out

@@ -5,7 +5,8 @@ over inline, factor-list and facet JSON models, malformed ones included,
 and snf and decompose invocations on seeded matrix and complex files,
 malformed ones included.  Each
 must exit 0 with a report, or 2 or 3 with a message and no report; an
-uncaught exception fails the test.
+uncaught exception fails the test.  The toric commands take no
+``--trunc``, so one that passes it must exit 2.
 """
 
 from cli_corpus import corpus, run_one
@@ -21,5 +22,8 @@ def test_corpus_sample_answers_or_refuses(tmp_path):
             assert out == "" and err, invocation.text()
         else:
             assert out.startswith("command: "), invocation.text()
+        if invocation.argv[0] in ("torsion", "optimize", "polydisk") \
+                and "--trunc" in invocation.argv:
+            assert code == 2, invocation.text()
         codes.add(code)
     assert codes == {0, 2, 3}

@@ -10,11 +10,12 @@ quotients, negative exponents, Koszul complexes of toric fibers).  The two
 at truncation 7/2, were written from the code before exponents became
 integers over a per-element denominator, and pin that change the same way.
 The ``torsion``, ``polydisk`` and ``optimize`` cases (reference fibers,
-equators, a cylinder, a CP^2 centre, ``--trunc inf`` and a finite level
-above the threshold, the three polydisk modes and an extrapolation, three
-optimizer models) were written from the code that still read the toric
-answers off truncated Novikov elements, before they came from one table
-of facet areas and summed normals.  The three wide-coefficient cases
+equators, a cylinder, a CP^2 centre, the three polydisk modes and an
+extrapolation, three optimizer models) were written from the code that
+still read the toric answers off truncated Novikov elements, before they
+came from one table of facet areas and summed normals.  The ``torsion``
+reports have since lost their ``trunc`` line, as the toric commands
+took a truncation level no more; nothing else in them moved.  The three wide-coefficient cases
 (a 4 x 4 matrix whose entries have coefficients over 3, 5, 7 and 12 with
 numerators up to 10^4 at truncation 6, the normal form of
 ``1 - 1/3*T(1/2)`` at truncation 12, whose quotients carry 3^k, and a

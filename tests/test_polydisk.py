@@ -59,6 +59,15 @@ def test_bound_mode_14():
     assert all(row["ok"] for row in report["constraints"])
 
 
+def test_bound_ignores_a_level():
+    # below the level 1 every area of this fiber is hidden, and a
+    # truncated bound read inf, certified
+    spec = PolydiskSpec(mode="1.4", S=2, n=3)
+    report = polydisk_bound(spec, trunc=1)
+    assert report == polydisk_bound(spec)
+    assert report["bound"] == "2" and report["certified"] is True
+
+
 def test_bound_mode_15():
     report = polydisk_bound(PolydiskSpec(mode="1.5", S=2, n=3, k=2, lam=10))
     assert report["bound"] == "2"

@@ -13,7 +13,7 @@ from koszul import koszul_complex
 from torsionlab import toric
 from torsionlab.errors import EmptyInterior, FiberOnBoundary
 from torsionlab.novikov import NovikovElement, from_text, to_text
-from torsionlab.rationals import INFINITE, is_infinite
+from torsionlab.rationals import is_infinite
 from torsionlab.toric import (
     Facet,
     Factor,
@@ -174,15 +174,13 @@ def test_covector_reference_configuration():
     model = product(sphere_factor(F(3, 2)), sphere_factor(5), sphere_factor(5))
     w = boundary_covector(model, [F(3, 4), F(2), F(2)])
     assert w[0].is_zero()
-    expected = from_text("T(2) - T(3)").retruncate(w[1].trunc)
-    assert w[1] == expected
-    assert w[2] == expected
+    assert w[1] == w[2] == from_text("T(2) - T(3)")
 
 
 def test_covector_cylinder_times_sphere():
     w = boundary_covector(product(cylinder_factor(), sphere_factor(1)),
                           [F(3, 4), F(1, 2)])
-    assert w[0] == from_text("T(3/4)").retruncate(w[0].trunc)
+    assert w[0] == from_text("T(3/4)")
     assert w[1].is_zero()
 
 
@@ -212,8 +210,9 @@ def test_contraction_squares_to_zero():
 def snapped_fibers(draw):
     """A product of at most three spheres, CP^1 or CP^2 and cylinders,
     with each factor's fiber coordinates at its centre (sphere equator,
-    simplex barycentre) or at a free interior point, and a truncation:
-    none (exact), at or below the smallest facet area, or free."""
+    simplex barycentre) or at a free interior point, and a level for
+    the Koszul oracle: none (its default, above every facet area), at or
+    below the smallest facet area, or free."""
     factors = []
     fiber = []
     for _ in range(draw(st.integers(1, 3))):
@@ -237,22 +236,29 @@ def snapped_fibers(draw):
             fiber.append(F(draw(st.integers(1, 9)), 4))
     model = product(*factors)
     smallest = min(facet_areas(model, fiber))
-    trunc = draw(st.sampled_from((
+    level = draw(st.sampled_from((
         None,
         smallest * F(draw(st.integers(1, 4)), 4),
         F(draw(st.integers(1, 24)), 4),
     )))
-    return model, fiber, trunc
+    return model, fiber, level
 
 
 @settings(max_examples=150)
 @given(snapped_fibers())
 def test_closed_form_matches_koszul_normal_form(case):
-    model, fiber, trunc = case
-    expected = decompose(koszul_complex(model, fiber, trunc))
-    assert floer_cohomology(model, fiber, trunc) == expected
-    assert torsion_threshold_at(model, fiber, trunc) == \
-        torsion_threshold(expected)
+    model, fiber, level = case
+    exact = floer_cohomology(model, fiber)
+    threshold = torsion_threshold_at(model, fiber)
+    assert threshold == torsion_threshold(exact)
+    koszul = decompose(koszul_complex(model, fiber, level))
+    if level is None or level > threshold:
+        assert koszul == exact
+    else:
+        # the areas below the level cancel, so the truncated complex
+        # hides the threshold and reads free
+        assert koszul == ModuleDecomposition(betti=2 ** model.dim,
+                                             torsion=())
 
 
 # general facet blocks for the products below, each with points inside it
@@ -272,8 +278,7 @@ GENERAL_BLOCKS = (
 def products_with_fibers(draw):
     """A product of spheres, CP^1, CP^2, cylinders and one general facet
     block, in a drawn order, with a fiber that is interior or, now and
-    then, on a facet or outside; a truncation (none, finite or inf); and
-    a cap (none or finite)."""
+    then, on a facet or outside; and a cap (none or finite)."""
     kinds = draw(st.lists(st.sampled_from(("sphere", "cp", "cylinder")),
                           min_size=0, max_size=3))
     kinds.insert(draw(st.integers(0, len(kinds))), "general")
@@ -299,10 +304,8 @@ def products_with_fibers(draw):
             dim = len(block[0][0])
             factors.append(facet_model(dim, block))
             fiber.extend(F(draw(st.integers(0, 8)), 4) for _ in range(dim))
-    trunc = draw(st.sampled_from(
-        (None, INFINITE, F(draw(st.integers(1, 16)), 4))))
     cap = draw(st.sampled_from((None, F(7, 2))))
-    return product(*factors), fiber, trunc, cap
+    return product(*factors), fiber, cap
 
 
 def outcome(call):
@@ -316,14 +319,14 @@ def outcome(call):
 @settings(max_examples=200)
 @given(products_with_fibers())
 def test_factors_answer_like_their_dense_padding(case):
-    model, fiber, trunc, cap = case
+    model, fiber, cap = case
     padded = dense(model)
     assert padded.dim == model.dim and len(padded.factors) == 1
     for answer in (
             lambda m: facet_areas(m, fiber),
-            lambda m: [to_text(w) for w in boundary_covector(m, fiber, trunc)],
-            lambda m: torsion_threshold_at(m, fiber, trunc),
-            lambda m: floer_cohomology(m, fiber, trunc),
+            lambda m: [to_text(w) for w in boundary_covector(m, fiber)],
+            lambda m: torsion_threshold_at(m, fiber),
+            lambda m: floer_cohomology(m, fiber),
             lambda m: m.is_interior(fiber),
             lambda m: coordinate_intervals(m, cap)):
         assert outcome(lambda: answer(model)) == \
@@ -353,6 +356,15 @@ def test_cohomology_projective_configuration():
     dec = floer_cohomology(model, [F(3, 4), F(2), F(2)])
     assert dec.betti == 0
     assert dec.torsion == (F(2), F(2), F(2), F(2))
+
+
+def test_floer_cohomology_ignores_a_level():
+    # below the level 1 the areas 3/4 cancel and 2 is hidden, so a
+    # truncated answer read free; the answer is exact at any level
+    model = product(sphere_factor(F(3, 2)), sphere_factor(5), sphere_factor(5))
+    fiber = [F(3, 4), F(2), F(2)]
+    assert floer_cohomology(model, fiber, 1) == floer_cohomology(model, fiber)
+    assert floer_cohomology(model, fiber, 1).torsion == (F(2),) * 4
 
 
 def test_cohomology_cylinder_times_sphere():
@@ -392,11 +404,11 @@ def test_free_rank_positive_iff_covector_vanishes():
 @settings(max_examples=150)
 @given(snapped_fibers())
 def test_threshold_dominates_minimum_covector_valuation(case):
-    # equality: the threshold is the smallest valuation of the covector
-    # at the same truncation, inf when every component vanishes
-    model, fiber, trunc = case
-    w = boundary_covector(model, fiber, trunc)
-    assert torsion_threshold_at(model, fiber, trunc) == \
+    # equality: the threshold is the smallest valuation of the covector,
+    # inf when every component vanishes
+    model, fiber, _ = case
+    w = boundary_covector(model, fiber)
+    assert torsion_threshold_at(model, fiber) == \
         min(c.valuation() for c in w)
 
 
@@ -586,10 +598,17 @@ def test_optimize_ignores_a_resolution():
     model = product(facet_model(2, [((1, 0), 0), ((0, 1), 0),
                                     ((-1, -1), -3), ((1, 1), 1)]),
                     cylinder_factor())
-    for trunc in (None, F(1, 2), F(3)):
-        plain = optimize_threshold(model, cap=2, trunc=trunc)
-        assert optimize_threshold(model, cap=2, trunc=trunc,
-                                  resolution=3) == plain
+    assert optimize_threshold(model, cap=2, resolution=3) == \
+        optimize_threshold(model, cap=2)
+
+
+def test_optimize_ignores_a_level():
+    # every circle in C is displaceable: a truncated answer at level 1
+    # read inf at the fiber 3
+    plain = optimize_threshold(cylinder_factor(), cap=3)
+    assert optimize_threshold(cylinder_factor(), cap=3, trunc=1) == plain
+    assert (plain.fiber, plain.value) == ((F(3),), F(3))
+    assert not plain.non_displaceable
 
 
 def test_optimize_shifted_hexagon_reaches_two_at_its_centre():
@@ -681,20 +700,18 @@ def facet_block(draw):
 
 
 def search_settings(draw):
-    """A resolution, refinement rounds, a truncation and a cap."""
+    """A resolution and refinement rounds of the grid oracle, and a cap."""
     resolution = draw(st.integers(1, 4))
     refine = draw(st.integers(0, 2))
-    trunc = draw(st.sampled_from(
-        (None, INFINITE, F(draw(st.integers(1, 16)), 4))))
     cap = draw(st.sampled_from((None, F(1), F(7, 2))))
-    return resolution, refine, trunc, cap
+    return resolution, refine, cap
 
 
 @st.composite
 def optimizer_cases(draw):
     """A product of spheres, CP^1, CP^2, cylinders and facet blocks of
-    dimension at most 4, with a resolution, refinement rounds, a
-    truncation and a cap (see ``facet_block`` and ``search_settings``),
+    dimension at most 4, with a resolution, refinement rounds and a cap
+    (see ``facet_block`` and ``search_settings``),
     and whether every factor is balanced (see ``toric._balanced_point``)
     by construction."""
     factors, dim = [], 0
@@ -728,11 +745,10 @@ def optimizer_cases(draw):
 @settings(max_examples=300)
 @given(optimizer_cases())
 def test_optimizer_never_below_the_grid_and_true_at_its_fiber(case):
-    model, resolution, refine, trunc, cap, balanced = case
+    model, resolution, refine, cap, balanced = case
     expected = outcome(lambda: grid_search(
-        model, resolution=resolution, cap=cap, refine_rounds=refine,
-        trunc=trunc))
-    found = outcome(lambda: optimize_threshold(model, cap=cap, trunc=trunc))
+        model, resolution=resolution, cap=cap, refine_rounds=refine))
+    found = outcome(lambda: optimize_threshold(model, cap=cap))
     grid_missed = isinstance(expected, tuple) and \
         expected[1].startswith("no interior grid point")
     if isinstance(found, tuple) and found[0] is EmptyInterior and grid_missed:
@@ -748,10 +764,10 @@ def test_optimizer_never_below_the_grid_and_true_at_its_fiber(case):
     # a product of balanced blocks has a free fiber (FOOO, arXiv:0802.1703)
     assert is_infinite(found.value) or not balanced
     assert model.is_interior(found.fiber)
-    assert found.value == torsion_threshold_at(model, found.fiber, trunc)
+    assert found.value == torsion_threshold_at(model, found.fiber)
     assert found.non_displaceable == is_infinite(found.value)
     if found.non_displaceable:
-        assert decompose(koszul_complex(model, found.fiber, trunc)) == \
+        assert decompose(koszul_complex(model, found.fiber)) == \
             ModuleDecomposition(betti=2 ** model.dim, torsion=())
 
 
@@ -772,7 +788,7 @@ def unbalanced_blocks(draw):
     """A block of ``OPTIMIZER_BLOCKS`` or ``OPTIMIZER_BLOCKS_3D`` with
     every facet at one area s > 0 from a drawn point, each facet shifted
     now and then, so that the blocks whose normals sum to zero are
-    unbalanced too unless no facet moved; with a truncation and a cap."""
+    unbalanced too unless no facet moved; with a cap."""
     normals = draw(st.sampled_from(OPTIMIZER_BLOCKS + OPTIMIZER_BLOCKS_3D))
     dim = len(normals[0])
     point = [F(draw(st.integers(-4, 4)), 2) for _ in range(dim)]
@@ -781,17 +797,16 @@ def unbalanced_blocks(draw):
         (normal, sum(c * x for c, x in zip(normal, point)) - area
          + draw(st.sampled_from((0, 0, F(1, 2), F(-1, 2)))))
         for normal in normals])
-    trunc = draw(st.sampled_from((None, F(draw(st.integers(1, 16)), 4))))
     cap = draw(st.sampled_from((None, F(1), F(7, 2))))
-    return block, trunc, cap
+    return block, cap
 
 
 @settings(max_examples=80)
 @given(unbalanced_blocks())
 def test_optimizer_equals_the_vertex_oracle_on_unbalanced_blocks(case):
-    block, trunc, cap = case
-    expected = outcome(lambda: vertex_search(block, cap=cap, trunc=trunc))
-    found = outcome(lambda: optimize_threshold(block, cap=cap, trunc=trunc))
+    block, cap = case
+    expected = outcome(lambda: vertex_search(block, cap=cap))
+    found = outcome(lambda: optimize_threshold(block, cap=cap))
     if isinstance(expected, tuple) or isinstance(found, tuple):
         # both refuse: the same missing cap, or no interior point
         assert isinstance(expected, tuple) and isinstance(found, tuple)
@@ -799,13 +814,13 @@ def test_optimizer_equals_the_vertex_oracle_on_unbalanced_blocks(case):
         assert expected[0] is EmptyInterior or expected == found
         return
     assert found.value == expected.value
-    assert found.value == torsion_threshold_at(block, found.fiber, trunc)
+    assert found.value == torsion_threshold_at(block, found.fiber)
 
 
 @st.composite
 def factor_lists(draw):
     """Two to four factors, each a sphere, CP^1, CP^2, a cylinder or a
-    facet block (see ``facet_block``), with a truncation and a cap."""
+    facet block (see ``facet_block``), with a cap."""
     factors = []
     for _ in range(draw(st.integers(2, 4))):
         kind = draw(st.sampled_from(("sphere", "cp", "cylinder", "facets")))
@@ -820,19 +835,18 @@ def factor_lists(draw):
             factors.append(cylinder_factor())
         else:
             factors.append(facet_block(draw)[0])
-    _, _, trunc, cap = search_settings(draw)
-    return factors, trunc, cap
+    _, _, cap = search_settings(draw)
+    return factors, cap
 
 
 @settings(max_examples=150)
 @given(factor_lists())
 def test_optimizer_answers_a_product_from_its_factors_alone(case):
     # blocks have disjoint coordinates, so each is searched on its own
-    factors, trunc, cap = case
+    factors, cap = case
 
     def search(model):
-        return outcome(lambda: optimize_threshold(model, cap=cap,
-                                                  trunc=trunc))
+        return outcome(lambda: optimize_threshold(model, cap=cap))
     alone = [search(factor) for factor in factors]
     if any(isinstance(answer, tuple) for answer in alone):
         return
