@@ -81,8 +81,8 @@ class Factor:
                 raise ValueError("facet dimension mismatch")
 
     def slacks(self, point: Sequence[Fraction]) -> list[Fraction]:
-        return [sum(n * x for n, x in zip(facet.normal, point)) - facet.offset
-                for facet in self.facets]
+        return [sum(n * x for n, x in zip(facet.normal, point) if n)
+                - facet.offset for facet in self.facets]
 
 
 @dataclass(frozen=True)
@@ -242,16 +242,18 @@ def _solve(rows: list[list[Fraction]], rhs: list[Fraction]
     work = [row[:] + [value] for row, value in zip(rows, rhs)]
     for col in range(n):
         pivot_row = next((r for r in range(col, len(work))
-                          if work[r][col] != 0), None)
+                          if work[r][col]), None)
         if pivot_row is None:
             return None
         work[col], work[pivot_row] = work[pivot_row], work[col]
         pivot = work[col][col]
-        work[col] = [value / pivot for value in work[col]]
+        if pivot != 1:
+            work[col] = [value / pivot if value else value
+                         for value in work[col]]
         for r in range(len(work)):
-            if r != col and work[r][col] != 0:
+            if r != col and work[r][col]:
                 factor = work[r][col]
-                work[r] = [a - factor * b
+                work[r] = [a - factor * b if b else a
                            for a, b in zip(work[r], work[col])]
     return [work[r][n] for r in range(n)]
 
@@ -293,48 +295,48 @@ def _model_blocks(model: MomentModel) -> list[tuple[list[int], Factor]]:
             for coords, block in _blocks(factor)]
 
 
-def _balanced_point(block: Factor) -> tuple[Fraction, ...] | None:
-    """The point where every facet of the block has one area s > 0, when
-    the block's normals sum to zero and <n_j, u> - c_j = s fixes (u, s);
-    None otherwise.  There the block's facets share one area and their
-    normals cancel, so the block adds no nonzero summed normal."""
-    facets = block.facets
-    if not facets or any(map(sum, zip(*(f.normal for f in facets)))):
-        return None
-    solution = _solve([[*map(Fraction, f.normal), Fraction(-1)]
-                       for f in facets], [f.offset for f in facets])
-    if solution is None:
-        return None
-    *point, s = solution
-    if s <= 0 or any(area != s for area in block.slacks(point)):
-        return None
-    return tuple(point)
+def _rays(block: Factor) -> list[list[Fraction]]:
+    """The extreme rays of the block's recession cone {r : <n_j, r> >= 0},
+    each scaled to <s, r> = 1 for s the sum of its normals.  With the
+    normals of full rank, every nonzero r in the cone has <s, r> > 0, so
+    the rays are the vertices of that slice: <s, r> = 1 and d - 1 of the
+    planes <n_j, r> = 0.  There are none when s = 0, where the block is
+    compact, and then no system is solved."""
+    total = [sum(column) for column in zip(*(f.normal for f in block.facets))]
+    if not any(total):
+        return []
+    total = list(map(Fraction, total))
+    normals = [list(map(Fraction, f.normal)) for f in block.facets]
+    rhs = [Fraction(1)] + [Fraction(0)] * (block.dim - 1)
+    rays = (_solve([total, *subset], rhs)
+            for subset in itertools.combinations(normals, block.dim - 1))
+    return [r for r in rays if r is not None and all(
+        sum(c * x for c, x in zip(row, r)) >= 0 for row in normals)]
 
 
 def _intervals(coords: list[int], block: Factor, cap
                ) -> list[tuple[Fraction, Fraction]]:
     """Exact bounds of each coordinate of ``block``, read off its
-    vertices; ``coords`` are their product coordinates.  Directions in
-    which the block recedes along a coordinate axis (every normal
-    component of one sign, as for cylinder factors) are capped by the
-    required ``cap``."""
+    vertices; ``coords`` are their product coordinates.  A coordinate in
+    which some ray of the block (see ``_rays``) points, as for cylinder
+    factors, is capped on that side by the required ``cap``."""
     planes = [(list(map(Fraction, f.normal)), f.offset)
               for f in block.facets]
     vertices = [point for point in _points(planes, block.dim)
                 if all(s >= 0 for s in block.slacks(point))]
     if not vertices:
         raise EmptyInterior("the polytope has no vertices")
+    rays = _rays(block)
     intervals = []
     for position, i in enumerate(coords):
         values = [v[position] for v in vertices]
-        normals = [f.normal[position] for f in block.facets]
         lo, hi = min(values), max(values)
-        if all(c >= 0 for c in normals):
+        if any(r[position] > 0 for r in rays):
             if cap is None:
                 raise ValueError(f"coordinate {i} is unbounded above; "
                                  "pass a cap")
             hi = max(hi, Fraction(cap))
-        if all(c <= 0 for c in normals):
+        if any(r[position] < 0 for r in rays):
             if cap is None:
                 raise ValueError(f"coordinate {i} is unbounded below; "
                                  "pass a cap")
@@ -343,87 +345,99 @@ def _intervals(coords: list[int], block: Factor, cap
     return intervals
 
 
-# A searched block of m facets in d coordinates has C(C(m,2) + 2d, d)
-# candidate vertices; past this many it is refused before any is solved.
+# A level of a block of m facets in d coordinates has C(m, d + 1)
+# candidate vertices, C(m + 2d, d + 1) if it recedes; past this, refused.
 CANDIDATE_BUDGET = 20_000
+
+
+def _check_budget(coords: list[int], block: Factor, box) -> None:
+    m, d = len(block.facets), block.dim
+    count = math.comb(m + 2 * len(box), d + 1)
+    if count > CANDIDATE_BUDGET:
+        raise ValueError(
+            f"the block over coordinates {coords} has m = {m} facets in "
+            f"d = {d} dimensions, so a level has at least "
+            f"C(m{' + 2d' * bool(box)}, d + 1) = {count} candidate "
+            f"vertices, over the budget of {CANDIDATE_BUDGET}")
 
 
 @dataclass(frozen=True)
 class ThresholdSearch:
-    """Best fiber: each block at its balanced point or best vertex."""
+    """Best fiber: each block at the last of its max-min levels."""
 
     fiber: tuple[Fraction, ...]
     value: Level
     non_displaceable: bool
 
 
-def _best_vertex(block: Factor, intervals: list[tuple[Fraction, Fraction]]
-                 ) -> tuple[Fraction, ...]:
-    """The first point of largest threshold strictly inside the block
-    among the vertices of its tie hyperplanes a_j(u) = a_k(u) and the
-    faces of its closed box ``intervals``; +inf ends the enumeration.
-    On each open cell of that arrangement the threshold is one facet
-    area or +inf.  It is upper semicontinuous, since merging groups of
-    equal area adds their summed normals, and tends to 0 at the block's
-    boundary, so its maximum is at an interior vertex."""
-    alone = MomentModel((block,))
-    planes = [([Fraction(a - b) for a, b in zip(f.normal, g.normal)],
-               f.offset - g.offset)
-              for f, g in itertools.combinations(block.facets, 2)]
-    for i, (lo, hi) in enumerate(intervals):
-        axis = [Fraction(int(j == i)) for j in range(block.dim)]
-        planes += [(axis, lo), (axis, hi)]
-    best_point = best_value = None
-    for point in _points(planes, block.dim):
-        if all(lo <= x <= hi for x, (lo, hi) in zip(point, intervals)) \
-                and alone.is_interior(point):
-            value = torsion_threshold_at(alone, point)
-            if best_value is None or value > best_value:
-                best_point, best_value = point, value
-                if is_infinite(value):
-                    break
-    if best_point is None:
-        box = " x ".join(f"[{lo}, {hi}]" for lo, hi in intervals)
-        raise EmptyInterior(f"the polytope has no interior point in {box}")
-    return best_point
+def _levels(block: Factor, box: list[tuple[Fraction, Fraction]]
+            ) -> tuple[Fraction, ...] | None:
+    """The least optimal vertex of the last of FOOO's max-min levels
+    (arXiv:0802.1703) of ``block`` in the closed ``box``, empty for a
+    compact block; None when no point is strictly inside.  Level k takes
+    the largest t with a_j >= t on the active facets, a_j >= lambda_i on
+    those fixed at an earlier level i, and the box: lambda_k, at vertices
+    of those planes d + 1 at a time.  I_k, the active facets of area
+    lambda_k at every optimal vertex, are fixed when their normals sum to
+    zero (their areas then have a constant sum); otherwise the threshold
+    is lambda_k.  With every facet fixed it is +inf (see README)."""
+    dim = block.dim + 1
+    normals = [list(map(Fraction, f.normal)) for f in block.facets]
+    bounds = [([Fraction(int(j == i)) for j in range(dim)], side)
+              for i, sides in enumerate(box) for side in sides]
+    fixed: list[Fraction | None] = [None] * len(normals)
+    minus_one, zero = Fraction(-1), Fraction(0)
+    while True:
+        planes = [(row + [minus_one], f.offset) if level is None
+                  else (row + [zero], f.offset + level)
+                  for row, f, level in zip(normals, block.facets, fixed)]
+        best, tops = None, []
+        for *point, t in _points(planes + bounds, dim):
+            areas = block.slacks(point)
+            if all(a >= (t if level is None else level)
+                   for a, level in zip(areas, fixed)) and all(
+                    lo <= x <= hi for x, (lo, hi) in zip(point, box)):
+                if best is None or t > best:
+                    best, tops = t, []
+                if t == best:
+                    tops.append((point, areas))
+        if best is None or best <= 0:
+            return None
+        tight = [j for j, level in enumerate(fixed) if level is None
+                 and all(areas[j] == best for _, areas in tops)]
+        for j in tight:
+            fixed[j] = best
+        if any(map(sum, zip(*(block.facets[j].normal for j in tight)))) \
+                or all(level is not None for level in fixed):
+            return tuple(min(point for point, _ in tops))
 
 
 def optimize_threshold(model: MomentModel, cap=None, trunc=None,
                        resolution=None) -> ThresholdSearch:
     """Maximize the torsion threshold over interior fibers, exactly.
 
-    Blocks (see ``_blocks``) have disjoint coordinates, so the threshold
-    of a fiber is the least of its blocks' thresholds, and each block is
-    maximized on its own.  A block with a balanced point (see
-    ``_balanced_point``) has threshold +inf there, which is optimal.
-    Each other block, a cylinder or an unbalanced facet block, takes its
-    best vertex (see ``_best_vertex``) in its closed box (see
-    ``_intervals``), so ``cap`` is an inclusive bound.  A block over
-    ``CANDIDATE_BUDGET`` is refused before any system is solved, and a
-    missing cap before any block is enumerated.  ``trunc`` and
-    ``resolution`` are ignored, since the answer is exact;
-    ``perfbench/exact_core.py``, written for truncated answers and the
-    grid search this replaced, still passes them.
+    Blocks (see ``_blocks``) have disjoint coordinates, so each takes its
+    own max-min levels (see ``_levels``); one that recedes (see
+    ``_rays``) is held to its closed box (see ``_intervals``), so ``cap``
+    is an inclusive bound.  Blocks meet ``CANDIDATE_BUDGET`` before any
+    system is solved and again once a box is known, and an empty
+    interior is refused after every box.  ``trunc`` and ``resolution``
+    are ignored; ``perfbench/exact_core.py`` still passes them.
     """
-    placed: dict[int, Fraction] = {}
-    searched = []
-    for coords, block in _model_blocks(model):
-        point = _balanced_point(block)
-        if point is None:
-            searched.append((coords, block))
-        else:
-            placed.update(zip(coords, point))
-    for coords, block in searched:
-        m, d = len(block.facets), block.dim
-        count = math.comb(math.comb(m, 2) + 2 * d, d)
-        if count > CANDIDATE_BUDGET:
-            raise ValueError(
-                f"the block over coordinates {coords} has m = {m} facets in "
-                f"d = {d} dimensions, so C(C(m,2) + 2d, d) = {count} "
-                f"candidate vertices, over the budget of {CANDIDATE_BUDGET}")
-    boxes = [_intervals(coords, block, cap) for coords, block in searched]
-    for (coords, block), box in zip(searched, boxes):
-        placed.update(zip(coords, _best_vertex(block, box)))
+    blocks = _model_blocks(model)
+    for coords, block in blocks:
+        _check_budget(coords, block, [])
+    placed, empty = {}, []
+    for coords, block in blocks:
+        box = _intervals(coords, block, cap) if _rays(block) else []
+        _check_budget(coords, block, box)
+        point = _levels(block, box)
+        if point is None:  # _intervals refuses a block with no vertices
+            empty.append(box or _intervals(coords, block, cap))
+        placed.update(zip(coords, point or ()))
+    if empty:
+        box = " x ".join(f"[{lo}, {hi}]" for lo, hi in empty[0])
+        raise EmptyInterior(f"the polytope has no interior point in {box}")
     fiber = tuple(placed[i] for i in range(model.dim))
     value = torsion_threshold_at(model, fiber)
     return ThresholdSearch(fiber=fiber, value=value,

@@ -496,6 +496,10 @@ def matrix_from_json(data: dict, trunc: Level | None = None,
     overrides the file's level.  A missing or malformed field raises
     ValueError naming it after ``where``."""
     _fields(data, where, ("rows", "cols", "entries"))
+    if not (_is_count(data["rows"]) and _is_count(data["cols"])):
+        raise ValueError(f"{where} fields 'rows' and 'cols' must be "
+                         "non-negative integers; got "
+                         f"{data['rows']!r} and {data['cols']!r}")
     entries = data["entries"]
     if not (isinstance(entries, list)
             and all(isinstance(row, list) for row in entries)):
@@ -539,10 +543,10 @@ def complex_from_json(data: dict, trunc: Level | None = None) -> ChainComplex:
     matrices = []
     for index, blob in enumerate(blobs):
         where = f"complex JSON differential {index}"
-        _fields(blob, where, ("rows", "cols"))
-        if blob["rows"] == 0 or blob["cols"] == 0:
-            matrix = NovikovMatrix.zeros(ranks[index + 1], ranks[index])
-        else:
-            matrix = matrix_from_json(blob, level, where)
+        matrix = matrix_from_json(blob, level, where)
+        if matrix.shape != (ranks[index + 1], ranks[index]):
+            raise ValueError(f"{where} is {matrix.rows} x {matrix.cols}; "
+                             f"the ranks need {ranks[index + 1]} x "
+                             f"{ranks[index]}")
         matrices.append(matrix)
     return ChainComplex(ranks, matrices)

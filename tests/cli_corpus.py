@@ -4,7 +4,7 @@
 invocations over inline, factor-list JSON and facet JSON models (fibers
 inside, on the boundary of and outside the polytope; one time in twenty
 the removed ``--trunc``, which exits 2; ``optimize`` also on unbalanced
-2-D and 3-D facet blocks and on a 4-D block over the optimizer's
+2-D and 3-D facet blocks and on a 7-D block over the optimizer's
 candidate budget, and now and then with the removed ``--resolution`` or
 ``--refine``, which exit 2; polydisk n up to 12), and ``snf`` and
 ``decompose`` invocations on seeded matrix and complex JSON files
@@ -68,13 +68,14 @@ UNBALANCED = (
     ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -2)),
 )
 
-# a 4-cube with two corners cut: C(C(10,2) + 8, 4) = 292,825 candidate
-# vertices, over the optimizer's budget
-OVER_BUDGET = {"dim": 4, "facets": [
-    {"normal": [int(i == j) * sign for j in range(4)], "offset": offset}
-    for sign, offset in ((1, "0"), (-1, "-3")) for i in range(4)] + [
-    {"normal": [-1, -1, -1, -1], "offset": "-7"},
-    {"normal": [1, 1, 0, 0], "offset": "1"}]}
+# a 7-cube with six corners cut: each max-min level has C(20, 8) =
+# 125,970 candidate vertices, over the optimizer's budget
+OVER_BUDGET = {"dim": 7, "facets": [
+    {"normal": [int(i == j) * sign for j in range(7)], "offset": offset}
+    for sign, offset in ((1, "0"), (-1, "-3")) for i in range(7)] + [
+    {"normal": [-1] * 7, "offset": "-15"}] + [
+    {"normal": [int(j in pair) for j in range(7)], "offset": "1"}
+    for pair in ((0, 1), (2, 3), (4, 5), (5, 6), (0, 6))]}
 
 BAD_FACET_FILES = (
     {"dim": -1, "facets": []},

@@ -1,8 +1,9 @@
 """Two threshold searches kept as test oracles.
 
-``toric.optimize_threshold`` fixes every balanced block at its balanced
-point and takes every other block at the best vertex of the arrangement
-of its tie hyperplanes a_j(u) = a_k(u) and box faces.
+``toric.optimize_threshold`` takes each block through FOOO's max-min
+levels: the largest least area over the block (and its box, when it
+recedes), then, while the facets tight at that level have normals that
+sum to zero, the next level with those facets held there.
 
 ``grid_search`` is the search that preceded it: one grid over the
 product of every coordinate interval of the model plus coordinate

@@ -50,6 +50,15 @@ PRODUCT_PROPERTY = ("tests/test_toric.py::"
                     "test_optimizer_answers_a_product_from_its_factors_alone")
 CYLINDER_PAIR = ("tests/test_cli.py::"
                  "test_optimize_cylinder_pair_answers_like_one_cylinder")
+CAPPED_STRIP = ("tests/test_cli.py::test_optimize_capped_strip_"
+                "climbs_to_the_cap_on_its_second_level")
+BLOWN_UP_CP2 = ("tests/test_toric.py::"
+                "test_optimize_blown_up_cp2_reaches_one_where_all_areas_meet")
+EMPTY_BOX = "tests/test_toric.py::test_optimize_empty_box"
+FIRST_LEVEL_STOP = ("tests/test_toric.py::"
+                    "test_optimize_stops_at_the_first_level_of_nonzero_sum")
+RECEDING_BUDGET = ("tests/test_toric.py::test_optimize_refuses_a_"
+                   "receding_block_over_budget_before_a_level")
 MALFORMED_JSON = ("tests/test_cli.py::"
                   "test_malformed_json_names_the_field_and_exits_2")
 
@@ -74,34 +83,42 @@ MUTANTS = (
            "torsionlab/novikov.py",
            "if magnitude != scale:", "if magnitude != 1:",
            (RENDERER_PROPERTY,)),
-    Mutant("balanced point without the sum-zero check",
+    Mutant("tight set read off one optimal vertex, not all of them",
            "torsionlab/toric.py",
-           "if not facets or any(map(sum, zip(*(f.normal for f in facets)))):",
-           "if not facets:", (OPTIMIZER_PROPERTY,)),
-    Mutant("balanced point without the s > 0 check",
+           "and all(areas[j] == best for _, areas in tops)]",
+           "and all(areas[j] == best for _, areas in tops[:1])]",
+           (CAPPED_STRIP,)),
+    Mutant("later levels without the planes of the fixed facets",
            "torsionlab/toric.py",
-           "if s <= 0 or any(area != s for area in block.slacks(point)):",
-           "if any(area != s for area in block.slacks(point)):",
-           (OPTIMIZER_PROPERTY,)),
-    Mutant("only the first searched block is searched",
+           "_points(planes + bounds, dim)",
+           "_points([plane for plane, level in zip(planes, fixed)"
+           " if level is None] + bounds, dim)",
+           (CAPPED_STRIP, PRODUCT_PROPERTY)),
+    Mutant("later levels without the fixed facets' floors",
            "torsionlab/toric.py",
-           "for (coords, block), box in zip(searched, boxes):",
-           "for (coords, block), box in zip(searched[:1], boxes):",
-           (CYLINDER_PAIR, PRODUCT_PROPERTY)),
-    Mutant("vertex enumeration without the box faces",
+           "all(a >= (t if level is None else level)",
+           "all(a >= (t if level is None else 0)", (CAPPED_STRIP,)),
+    Mutant("levels never stop at a tight set of nonzero sum",
            "torsionlab/toric.py",
-           "        planes += [(axis, lo), (axis, hi)]\n", "",
+           "if any(map(sum, zip(*(block.facets[j].normal for j in tight))))"
+           " \\", "if False \\", (FIRST_LEVEL_STOP, ORACLE_PROPERTY)),
+    Mutant("first level without the lambda_1 > 0 check",
+           "torsionlab/toric.py",
+           "if best is None or best <= 0:", "if best is None:",
+           (EMPTY_BOX, OPTIMIZER_PROPERTY)),
+    Mutant("levels without the box faces",
+           "torsionlab/toric.py",
+           "_points(planes + bounds, dim)", "_points(planes, dim)",
            (CYLINDER_PAIR,)),
-    Mutant("vertex enumeration in the open box",
+    Mutant("rays kept without the cone check",
            "torsionlab/toric.py",
-           "if all(lo <= x <= hi for x, (lo, hi) in zip(point, intervals))",
-           "if all(lo < x < hi for x, (lo, hi) in zip(point, intervals))",
-           (CYLINDER_PAIR,)),
-    Mutant("vertex enumeration without the last facet's ties",
+           "return [r for r in rays if r is not None and all(",
+           "return [r for r in rays if r is not None or all(",
+           (BLOWN_UP_CP2,)),
+    Mutant("a receding block counted without its box faces",
            "torsionlab/toric.py",
-           "for f, g in itertools.combinations(block.facets, 2)]",
-           "for f, g in itertools.combinations(block.facets[:-1], 2)]",
-           (ORACLE_PROPERTY,)),
+           "count = math.comb(m + 2 * len(box), d + 1)",
+           "count = math.comb(m, d + 1)", (RECEDING_BUDGET,)),
     Mutant("a JSON true read as the level 1",
            "torsionlab/valmat.py",
            "        if isinstance(value, bool):", "        if False:",
@@ -118,6 +135,20 @@ MUTANTS = (
     Mutant("complex differentials not checked to be a list",
            "torsionlab/valmat.py",
            "    if not isinstance(blobs, list):\n", "    if False:\n",
+           (MALFORMED_JSON,)),
+    Mutant("matrix rows and cols not checked to be counts",
+           "torsionlab/valmat.py",
+           "    if not (_is_count(data[\"rows\"])"
+           " and _is_count(data[\"cols\"])):\n",
+           "    if False:\n", (MALFORMED_JSON,)),
+    Mutant("a differential's shape not checked against the ranks",
+           "torsionlab/valmat.py",
+           "        if matrix.shape != (ranks[index + 1], ranks[index]):\n",
+           "        if False:\n", (MALFORMED_JSON,)),
+    Mutant("a differential read as the zero map between the ranks",
+           "torsionlab/valmat.py",
+           "matrix = matrix_from_json(blob, level, where)",
+           "matrix = NovikovMatrix.zeros(ranks[index + 1], ranks[index])",
            (MALFORMED_JSON,)),
     Mutant("a model description not checked to be a string",
            "torsionlab/toric.py",

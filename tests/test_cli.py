@@ -339,6 +339,18 @@ _ONE_DIFFERENTIAL = [{"rows": 1, "cols": 1, "entries": [["T(1)"]]}]
                  "facets": [{"normal": [1], "offset": "0"},
                             {"normal": [-1], "offset": "-1"}]},
      "model JSON field 'description' must be a string; got 5"),
+    # a zero row or column count once stood for the zero map between the
+    # ranks, whatever the entries; a JSON true once read as the count 1
+    ("decompose", {"ranks": [2, 2], "differentials": [
+        {"rows": 0, "cols": 5, "entries": "junk"}]},
+     "complex JSON differential 0 field 'entries' must be a list of rows; "
+     "got 'junk'"),
+    ("decompose", {"ranks": [2, 2], "differentials": [
+        {"rows": 0, "cols": 5, "entries": []}]},
+     "complex JSON differential 0 is 0 x 5; the ranks need 2 x 2"),
+    ("snf", {"rows": True, "cols": True, "entries": [["T(1)"]]},
+     "matrix JSON fields 'rows' and 'cols' must be non-negative integers; "
+     "got True and True"),
 ], ids=["no-entries", "top-level-array", "bad-trunc",
         "differential-without-entries", "extra-differential",
         "fractional-rank", "string-and-bool-ranks", "negative-rank",
@@ -349,7 +361,9 @@ _ONE_DIFFERENTIAL = [{"rows": 1, "cols": 1, "entries": [["T(1)"]]}]
         "differential-trunc-zero", "matrix-trunc-negative",
         "matrix-trunc-true", "complex-trunc-true", "entries-not-a-list",
         "rows-not-lists", "differentials-not-a-list", "entry-float",
-        "entry-unknown-term", "differential-entry", "description-not-a-string"])
+        "entry-unknown-term", "differential-entry", "description-not-a-string",
+        "zero-rows-junk-entries", "differential-shape-against-ranks",
+        "bool-rows-and-cols"])
 def test_malformed_json_names_the_field_and_exits_2(capsys, tmp_path,
                                                     command, data, message):
     path = tmp_path / "input.json"
@@ -583,9 +597,9 @@ def test_optimize_cylinder_pair_answers_like_one_cylinder(capsys):
 
 def test_optimize_twelve_cylinders_cost_a_sum_over_blocks(capsys,
                                                           monkeypatch):
-    # a cylinder has two candidates, 0 and the cap, and only the cap is
-    # interior; the fiber they make up is evaluated once more
-    bound = 12 * 2 + 1
+    # each cylinder is one level over the planes u = t, u = 0 and u = cap,
+    # and only the fiber that the twelve points make up is evaluated
+    bound = 1
     calls = []
     evaluate = toric.torsion_threshold_at
 
@@ -602,6 +616,58 @@ def test_optimize_twelve_cylinders_cost_a_sum_over_blocks(capsys,
     assert code == 0
     assert "fiber: " + ", ".join(["3"] * 12) + " (exact)" in out
     assert "value: 3 (= 3, exact)" in out
+
+
+def _write_model(tmp_path, dim, facets):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"dim": dim, "facets": [
+        {"normal": list(normal), "offset": str(offset)}
+        for normal, offset in facets]}))
+    return str(path)
+
+
+# the strip 0 <= u0 - u1 <= 1, u0 + u1 >= 0, which recedes along (1, 1)
+STRIP = [((1, -1), 0), ((-1, 1), -1), ((1, 1), 0)]
+
+
+def test_optimize_strip_needs_a_cap_though_no_column_has_one_sign(
+        capsys, tmp_path):
+    # every column of normals has both signs, yet (1, 1) is a ray
+    code, out, err = invoke(capsys, "optimize", "--model",
+                            _write_model(tmp_path, 2, STRIP))
+    assert code == 2 and out == ""
+    assert err == "error: coordinate 0 is unbounded above; pass a cap\n"
+
+
+def test_optimize_capped_strip_climbs_to_the_cap_on_its_second_level(
+        capsys, tmp_path):
+    # level 1 holds u0 - u1 = 1/2, where the two strip facets have area
+    # 1/2 and cancel; level 2 pushes u0 + u1 to the cap
+    model = _write_model(tmp_path, 2, STRIP)
+    code, out, _ = invoke(capsys, "optimize", "--model", model, "--cap", "3")
+    assert code == 0
+    assert "fiber: 3, 5/2 (exact)" in out
+    assert "value: 11/2 (= 5.5, exact)" in out
+    code, out, _ = invoke(capsys, "torsion", "--model", model,
+                          "--fiber", "3,5/2")
+    assert code == 0 and "threshold: 11/2" in out
+
+
+@pytest.mark.parametrize("d, value, coordinate", [
+    (5, "7/3", "2/3"), (8, "23/9", "4/9")])
+def test_optimize_blown_up_projective_space_answers_in_a_second(
+        capsys, tmp_path, d, value, coordinate):
+    # CP^d(4) blown up by sum u_i >= 1: d + 2 facets, one level of
+    # C(d + 2, d + 1) candidates
+    facets = [(tuple(int(i == j) for j in range(d)), 0) for i in range(d)]
+    facets += [((-1,) * d, -4), ((1,) * d, 1)]
+    started = time.perf_counter()
+    code, out, _ = invoke(capsys, "optimize", "--model",
+                          _write_model(tmp_path, d, facets))
+    assert time.perf_counter() - started < 1
+    assert code == 0
+    assert f"fiber: {', '.join([coordinate] * d)} (exact)" in out
+    assert f"value: {value} " in out
 
 
 def run_in_process(*argv):

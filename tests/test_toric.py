@@ -463,8 +463,10 @@ def _det(rows):
 def brute_force_intervals(model, cap=None):
     """Per-coordinate bounds from the vertices of the whole polytope:
     every choice of ``dim`` facets with independent normals, solved by
-    Cramer's rule and kept when no facet is violated.  None when there
-    is no vertex."""
+    Cramer's rule and kept when no facet is violated; a side in which a
+    ray points is widened to the cap.  The rays are the cofactor vectors
+    of ``dim - 1`` independent normals, with either sign, that no facet
+    normal meets negatively.  None when there is no vertex."""
     model = dense(model)
     (factor,) = model.factors
     n = model.dim
@@ -481,13 +483,21 @@ def brute_force_intervals(model, cap=None):
             vertices.append(point)
     if not vertices:
         return None
+    rays = []
+    for subset in itertools.combinations(factor.facets, n - 1):
+        rows = [[F(c) for c in f.normal] for f in subset]
+        kernel = [(-1) ** i * _det([row[:i] + row[i + 1:] for row in rows])
+                  for i in range(n)]
+        rays += [ray for ray in (kernel, [-x for x in kernel])
+                 if any(ray) and all(sum(c * x for c, x in zip(f.normal, ray))
+                                     >= 0 for f in factor.facets)]
     intervals = []
     for i in range(n):
         lo = min(v[i] for v in vertices)
         hi = max(v[i] for v in vertices)
-        if all(f.normal[i] >= 0 for f in factor.facets):
+        if any(ray[i] > 0 for ray in rays):
             hi = max(hi, F(cap))
-        if all(f.normal[i] <= 0 for f in factor.facets):
+        if any(ray[i] < 0 for ray in rays):
             lo = min(lo, -F(cap))
         intervals.append((lo, hi))
     return intervals
@@ -522,6 +532,10 @@ INTERVAL_MODELS = {
     # the second block is empty: u1 >= 2 and u1 <= 1
     "empty-block": (facet_model(2, [
         ((1, 0), 0), ((-1, 0), -1), ((0, 1), 2), ((0, -1), -1)]), None),
+    # 0 <= u0 - u1 <= 1 and u0 + u1 >= 0 recede along (1, 1), though each
+    # column of normals has both signs
+    "diagonal-strip": (facet_model(2, [
+        ((1, -1), 0), ((-1, 1), -1), ((1, 1), 0)]), 3),
 }
 
 
@@ -636,7 +650,7 @@ def test_optimize_blown_up_cp2_reaches_one_where_all_areas_meet():
 
 
 def test_optimize_3d_block_of_eight_facets_answers_in_two_seconds():
-    # C(C(8,2) + 6, 3) = 5,984 candidate vertices
+    # C(8, 4) = 70 candidate vertices a level
     cube = facet_model(3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
                            ((-1, 0, 0), -3), ((0, -1, 0), -3),
                            ((0, 0, -1), -3), ((-1, -1, -1), -7),
@@ -649,24 +663,79 @@ def test_optimize_3d_block_of_eight_facets_answers_in_two_seconds():
     assert result.value == F(5, 2)
 
 
-def test_optimize_refuses_a_block_over_budget_before_any_solve(monkeypatch):
-    def no_solve(rows, rhs):
-        raise AssertionError("a system was solved")
-    monkeypatch.setattr(toric, "_solve", no_solve)
-    # a 4-cube with two corners cut; its normals do not sum to zero, so
-    # not even its balanced point is solved for
+def test_optimize_stops_at_the_first_level_of_nonzero_sum(monkeypatch):
+    # at level 1 the square's four facets and u0 + u1 >= 1 all have area
+    # 1 on the segment (1, 1, u2), 1 <= u2 <= 6, and their normals sum to
+    # (1, 1, 0): the threshold is 1 there, and no second level is solved
+    # (one would move the fiber to u2 = 7/2)
+    levels = []
+    points = toric._points
+
+    def counted(planes, dim):
+        levels.append(len(planes))
+        return points(planes, dim)
+    monkeypatch.setattr(toric, "_points", counted)
+    block = facet_model(3, [((1, 0, 0), 0), ((-1, 0, 0), -2), ((0, 1, 0), 0),
+                            ((0, -1, 0), -2), ((1, 1, 0), 1), ((0, 0, 1), 0),
+                            ((-1, 0, -1), -8)])
+    result = optimize_threshold(block)
+    assert (result.fiber, result.value) == ((F(1), F(1), F(1)), F(1))
+    assert levels == [7]
+
+
+def test_optimize_4d_block_of_ten_facets_answers_in_a_second():
+    # a 4-cube with two corners cut: C(10, 5) = 252 candidate vertices a
+    # level.  The vertex oracle gives 8/5 too, in 30 s.
     normals = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     block = facet_model(4, [(n, 0) for n in normals]
                         + [(tuple(-c for c in n), -3) for n in normals]
                         + [((-1, -1, -1, -1), -7), ((1, 1, 0, 0), 1)])
     started = time.perf_counter()
+    result = optimize_threshold(block)
+    assert time.perf_counter() - started < 1
+    assert result.fiber == (F(7, 5),) * 4
+    assert result.value == F(8, 5)
+
+
+def test_optimize_refuses_a_block_over_budget_before_any_solve(monkeypatch):
+    def no_solve(rows, rhs):
+        raise AssertionError("a system was solved")
+    monkeypatch.setattr(toric, "_solve", no_solve)
+    # a 7-cube with six corners cut, after a cylinder: every block is
+    # counted before the cylinder's box or either block's rays
+    normals = [tuple(int(i == j) for j in range(7)) for i in range(7)]
+    cuts = [(1, 1, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0),
+            (0, 0, 0, 0, 1, 1, 0), (0, 0, 0, 0, 0, 1, 1),
+            (1, 0, 0, 0, 0, 0, 1)]
+    block = facet_model(7, [(n, 0) for n in normals]
+                        + [(tuple(-c for c in n), -3) for n in normals]
+                        + [((-1,) * 7, -15)] + [(n, 1) for n in cuts])
+    started = time.perf_counter()
     with pytest.raises(ValueError) as refused:
         optimize_threshold(product(cylinder_factor(), block), cap=1)
     assert time.perf_counter() - started < 0.1
     assert str(refused.value) == (
-        "the block over coordinates [1, 2, 3, 4] has m = 10 facets in "
-        "d = 4 dimensions, so C(C(m,2) + 2d, d) = 292825 candidate "
-        f"vertices, over the budget of {toric.CANDIDATE_BUDGET}")
+        "the block over coordinates [1, 2, 3, 4, 5, 6, 7] has m = 20 facets "
+        "in d = 7 dimensions, so a level has at least C(m, d + 1) = 125970 "
+        f"candidate vertices, over the budget of {toric.CANDIDATE_BUDGET}")
+
+
+def test_optimize_refuses_a_receding_block_over_budget_before_a_level(
+        monkeypatch):
+    def no_level(block, box):
+        raise AssertionError("a level was solved")
+    monkeypatch.setattr(toric, "_levels", no_level)
+    # C^6 blown up at the origin: C(7, 7) = 1 candidate without its box,
+    # C(7 + 12, 7) = 50,388 with it
+    normals = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    block = facet_model(6, [(n, 0) for n in normals] + [((1,) * 6, 1)])
+    with pytest.raises(ValueError) as refused:
+        optimize_threshold(block, cap=1)
+    assert str(refused.value) == (
+        "the block over coordinates [0, 1, 2, 3, 4, 5] has m = 7 facets in "
+        "d = 6 dimensions, so a level has at least C(m + 2d, d + 1) = "
+        f"50388 candidate vertices, over the budget of "
+        f"{toric.CANDIDATE_BUDGET}")
 
 
 # two-dimensional facet blocks for the optimizer property
@@ -712,8 +781,8 @@ def optimizer_cases(draw):
     """A product of spheres, CP^1, CP^2, cylinders and facet blocks of
     dimension at most 4, with a resolution, refinement rounds and a cap
     (see ``facet_block`` and ``search_settings``),
-    and whether every factor is balanced (see ``toric._balanced_point``)
-    by construction."""
+    and whether every factor is balanced by construction: its facets can
+    all have one area s > 0, and their normals sum to zero."""
     factors, dim = [], 0
     balanced = True
     while not factors or (dim < 4 and draw(st.booleans())):
