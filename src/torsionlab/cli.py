@@ -157,19 +157,23 @@ def _inline_model(text: str):
         parts = token.strip().split(":")
         where = f"--model factor {token.strip()!r}"
         if parts[0] == "sphere" and len(parts) == 2:
-            factors.append(sphere_factor(_number(parts[1], where)))
+            build, args = sphere_factor, (_number(parts[1], where),)
         elif parts[0] == "cp" and len(parts) == 3:
             try:
                 k = int(parts[1])
             except ValueError:
                 raise ValueError(f"{where} needs an integer k; "
                                  f"got {parts[1]!r}") from None
-            factors.append(projective_factor(k, _number(parts[2], where)))
+            build, args = projective_factor, (k, _number(parts[2], where))
         elif parts[0] == "cylinder" and len(parts) == 1:
-            factors.append(cylinder_factor())
+            build, args = cylinder_factor, ()
         else:
             raise ValueError(f"cannot read factor {token!r}; expected "
                              "sphere:AREA, cp:K:SIZE, or cylinder")
+        try:
+            factors.append(build(*args))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return product(*factors)
 
 

@@ -33,9 +33,10 @@ def as_level(value) -> Level:
 
 
 def rational(value) -> Fraction:
-    """Parse an exact rational given as int, Fraction, or 'p/q' string."""
-    if isinstance(value, float):
-        raise ValueError(f"refusing float {value!r}; pass an exact 'p/q' string")
+    """Parse an exact rational given as int, Fraction, or 'p/q' string;
+    a float or a bool is refused."""
+    if isinstance(value, (float, bool)):
+        raise ValueError(f"refusing {value!r}; pass an exact 'p/q' string")
     return Fraction(value)
 
 

@@ -49,7 +49,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyInterior, FiberOnBoundary
 from .novikov import NovikovElement
-from .rationals import INFINITE, Level, is_infinite
+from .rationals import INFINITE, Level, is_infinite, rational
 from .valmat import ModuleDecomposition, _fields, _is_count
 
 
@@ -455,6 +455,16 @@ def _read(where: str, build):
         raise ValueError(f"{where}: {exc}") from None
 
 
+def _rational_field(blob: dict, key: str, where: str) -> Fraction:
+    """``blob[key]`` as an exact rational: an integer or a 'p/q' string,
+    not a float or a bool.  Otherwise a ValueError names the field."""
+    try:
+        return rational(blob[key])
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise ValueError(f"{where} field {key!r} needs a rational p/q; "
+                         f"got {blob[key]!r}") from None
+
+
 def model_from_json(data: dict) -> MomentModel:
     """A model file: the factor list ``{"product": [...]}`` (see
     ``model_from_factors``), or one general factor ``{"dim", "facets",
@@ -483,8 +493,8 @@ def model_from_json(data: dict) -> MomentModel:
                 for c in normal)):
             raise ValueError(f"{where} field 'normal' must be a list of "
                              f"integers; got {normal!r}")
-        facets.append(_read(where, lambda: Facet(tuple(normal),
-                                                 Fraction(entry["offset"]))))
+        offset = _rational_field(entry, "offset", where)
+        facets.append(_read(where, lambda: Facet(tuple(normal), offset)))
     description = data.get("description", "")
     if not isinstance(description, str):
         raise ValueError("model JSON field 'description' must be a string; "
@@ -508,16 +518,17 @@ def model_from_factors(spec: Iterable[dict]) -> MomentModel:
                              f"of {', '.join(_FACTOR_KEYS)}; got {entry!r}")
         key = keys[0]
         if key == "sphere":
-            factors.append(_read(where, lambda: sphere_factor(
-                Fraction(entry["sphere"]))))
+            area = _rational_field(entry, "sphere", where)
+            factors.append(_read(where, lambda: sphere_factor(area)))
         elif key == "cp":
             blob = entry["cp"]
             _fields(blob, f"{where} 'cp'", ("k", "lambda"))
             if isinstance(blob["k"], bool) or not isinstance(blob["k"], int):
                 raise ValueError(f"{where} 'cp' field 'k' must be an "
                                  f"integer; got {blob['k']!r}")
+            size = _rational_field(blob, "lambda", f"{where} 'cp'")
             factors.append(_read(where, lambda: projective_factor(
-                blob["k"], Fraction(blob["lambda"]))))
+                blob["k"], size)))
         else:
             if entry["cylinder"] is not True:
                 raise ValueError(f"{where} 'cylinder' must be true; got "

@@ -1,5 +1,5 @@
-"""The flattened field evaluation, the per-point RK4 stage and the
-per-node Hofer scan, kept as oracles.
+"""The flattened field evaluation, the whole-grid strip quadrature, the
+per-point RK4 stage and the per-node Hofer scan, kept as oracles.
 
 ``HamiltonianField.value`` and ``partials`` hand the coordinate columns
 and the time straight to the compiled callables and let numpy broadcast
@@ -8,10 +8,11 @@ coordinate columns through one ``partials`` call, and
 ``torsionlab.hamlab.fields.hofer_norms`` scans the windows of many time
 nodes in one evaluation.  This module keeps the paths those replaced:
 ``value`` and ``vector_field`` flatten the point rows and spread the
-time over them, every RK4 stage goes through ``vector_field`` on a batch
-of shape (n, 2), and every time node and sign gets its own scan and
-refinement.  The arithmetic is the same, so the property tests require
-equal bits.
+time over them, the strip functionals build every density over the
+whole (tau, t) grid before its double trapezoid, every RK4 stage goes
+through ``vector_field`` on a batch of shape (n, 2), and every time node
+and sign gets its own scan and refinement.  The arithmetic is the same,
+so the property tests require equal bits.
 """
 
 import math
@@ -63,12 +64,26 @@ def vector_field(H, t, points) -> np.ndarray:
     return field
 
 
+def partials(strip) -> tuple[np.ndarray, np.ndarray]:
+    """(du/dtau, du/dt) over the whole strip."""
+    return (np.gradient(strip.points, strip.tau, axis=0, edge_order=2),
+            np.gradient(strip.points, strip.t, axis=1, edge_order=2))
+
+
+def integrate_grid(strip, values: np.ndarray) -> float:
+    """Double trapezoid of a scalar grid over (tau, t)."""
+    return float(np.trapezoid(np.trapezoid(values, strip.t, axis=1),
+                              strip.tau, axis=0))
+
+
+def pullback_area(strip) -> float:
+    return integrate_grid(strip, strip.space.omega(*partials(strip)))
+
+
 def energy_functional(strip, H, rho=None) -> tuple[float, float]:
     """The elongated and geometric energies of a strip, X_H from
     ``vector_field`` on the whole (tau, t) grid."""
-    from torsionlab.hamlab.strips import integrate_grid
-
-    du_dtau, du_dt = strip.partials()
+    du_dtau, du_dt = partials(strip)
     field = vector_field(H, strip.t, strip.points)
     weights = np.ones_like(strip.tau) if rho is None else rho(strip.tau)
     V = du_dt - weights[:, None, None] * field
@@ -76,6 +91,34 @@ def energy_functional(strip, H, rho=None) -> tuple[float, float]:
                      + strip.space.metric_norm2(V))
     return (integrate_grid(strip, density),
             integrate_grid(strip, strip.space.omega(du_dtau, V)))
+
+
+def energy_identity(strip, H, rho, tol: float = 1e-6) -> dict:
+    """The report of ``verify_energy_identity``, H on the whole grid."""
+    energy, geometric = energy_functional(strip, H, rho)
+    if rho is None:
+        vals, slopes = np.ones_like(strip.tau), np.zeros_like(strip.tau)
+    else:
+        vals, slopes = rho(strip.tau), rho.slope(strip.tau)
+    area = pullback_area(strip)
+    h_grid = value(H, strip.t, strip.points)
+    top = float(np.trapezoid(h_grid[-1], strip.t))
+    bottom = float(np.trapezoid(h_grid[0], strip.t))
+    rho_term = integrate_grid(strip, slopes[:, None] * h_grid)
+    rhs = area + vals[-1] * top - vals[0] * bottom - rho_term
+    discrepancy = abs(geometric - rhs)
+    return {
+        "identity": "energy",
+        "lhs": geometric,
+        "rhs": rhs,
+        "discrepancy": discrepancy,
+        "passed": bool(discrepancy <= tol),
+        "tol": tol,
+        "energy": energy,
+        "energy_slack": energy - geometric,
+        "area": area,
+        "rho_term": rho_term,
+    }
 
 
 def rk4_segment(H, points: np.ndarray, t0: float, t1: float,

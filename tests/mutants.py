@@ -61,6 +61,12 @@ RECEDING_BUDGET = ("tests/test_toric.py::test_optimize_refuses_a_"
                    "receding_block_over_budget_before_a_level")
 MALFORMED_JSON = ("tests/test_cli.py::"
                   "test_malformed_json_names_the_field_and_exits_2")
+MODEL_RATIONALS = ("tests/test_cli.py::"
+                   "test_model_file_rationals_refuse_floats_and_booleans")
+INLINE_REFUSAL = ("tests/test_cli.py::"
+                  "test_inline_factor_refusal_names_the_factor")
+SEAM_PROPERTY = ("tests/test_kernel_oracles.py::"
+                 "test_blocked_quadrature_matches_the_whole_grid")
 
 MUTANTS = (
     Mutant("forward pass skips the pivot-row division at infinite level",
@@ -154,6 +160,26 @@ MUTANTS = (
            "torsionlab/toric.py",
            "    if not isinstance(description, str):\n", "    if False:\n",
            (MALFORMED_JSON,)),
+    Mutant("a JSON true read as the rational 1",
+           "torsionlab/rationals.py",
+           "if isinstance(value, (float, bool)):",
+           "if isinstance(value, float):", (MODEL_RATIONALS,)),
+    Mutant("an inline factor's refusal not named by the factor",
+           "torsionlab/cli.py",
+           'raise ValueError(f"{where}: {exc}") from None', "raise",
+           (INLINE_REFUSAL,)),
+    Mutant("strip blocks step over a row at each seam",
+           "torsionlab/hamlab/strips.py",
+           "range(0, tau.size, step)", "range(0, tau.size, step + 1)",
+           (SEAM_PROPERTY,)),
+    Mutant("strip blocks repeat the first row of the next block",
+           "torsionlab/hamlab/strips.py",
+           "block = slice(start, start + step)",
+           "block = slice(start, start + step + 1)", (SEAM_PROPERTY,)),
+    Mutant("top edge of H from the first row of the last block",
+           "torsionlab/hamlab/strips.py",
+           'line_integral(strip, h[-1])', 'line_integral(strip, h[0])',
+           (SEAM_PROPERTY,)),
 )
 
 

@@ -377,6 +377,72 @@ def test_malformed_json_names_the_field_and_exits_2(capsys, tmp_path,
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"product": [{"sphere": 0.1}]},
+     "model JSON factor 0 field 'sphere' needs a rational p/q; got 0.1"),
+    ({"product": [{"sphere": True}]},
+     "model JSON factor 0 field 'sphere' needs a rational p/q; got True"),
+    ({"product": [{"sphere": "abc"}]},
+     "model JSON factor 0 field 'sphere' needs a rational p/q; got 'abc'"),
+    ({"product": [{"sphere": "1"}, {"cp": {"k": 1, "lambda": 2.5}}]},
+     "model JSON factor 1 'cp' field 'lambda' needs a rational p/q; "
+     "got 2.5"),
+    ({"product": [{"cp": {"k": 1, "lambda": False}}]},
+     "model JSON factor 0 'cp' field 'lambda' needs a rational p/q; "
+     "got False"),
+    ({"dim": 1, "facets": [{"normal": [1], "offset": 0.5},
+                           {"normal": [-1], "offset": "-2"}]},
+     "model JSON facet 0 field 'offset' needs a rational p/q; got 0.5"),
+    ({"dim": 1, "facets": [{"normal": [1], "offset": "0"},
+                           {"normal": [-1], "offset": True}]},
+     "model JSON facet 1 field 'offset' needs a rational p/q; got True"),
+], ids=["sphere-float", "sphere-true", "sphere-text", "cp-lambda-float",
+        "cp-lambda-false", "offset-float", "offset-true"])
+def test_model_file_rationals_refuse_floats_and_booleans(capsys, tmp_path,
+                                                         data, message):
+    # a float once became its binary fraction and a boolean 0 or 1, each
+    # answered as exact
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, "torsion", "--model", str(path),
+                            "--fiber", "1/2")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("data, model", [
+    ({"product": [{"sphere": 2}]}, "S2(2)"),
+    ({"product": [{"cp": {"k": 1, "lambda": "3/2"}}]}, "CP1(3/2)"),
+    ({"dim": 1, "description": "I", "facets": [
+        {"normal": [1], "offset": 0}, {"normal": [-1], "offset": "-3/2"}]},
+     "I"),
+], ids=["sphere-integer", "cp-lambda-text", "integer-and-text-offsets"])
+def test_model_file_rationals_take_integers_and_text(capsys, tmp_path, data,
+                                                     model):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = invoke(capsys, "torsion", "--model", str(path),
+                          "--fiber", "1/2")
+    assert code == 0
+    assert _report_line(out, "model") == model
+
+
+@pytest.mark.parametrize("model, fiber, message", [
+    ("sphere:1xcp:0:2", "1/2,1", "--model factor 'cp:0:2': projective "
+                                 "factor needs k >= 1 and positive size"),
+    ("cp:2:-1", "1,1", "--model factor 'cp:2:-1': projective factor needs "
+                       "k >= 1 and positive size"),
+    ("sphere:-1", "1/2", "--model factor 'sphere:-1': sphere area must be "
+                         "positive"),
+    ("cylinderxsphere:0", "0,1/2", "--model factor 'sphere:0': sphere area "
+                                   "must be positive"),
+], ids=["cp-k-zero", "cp-size-negative", "sphere-negative", "sphere-zero"])
+def test_inline_factor_refusal_names_the_factor(capsys, model, fiber,
+                                                message):
+    code, out, err = invoke(capsys, "torsion", "--model", model,
+                            "--fiber", fiber)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["torsion", "--model", "cp:a:3", "--fiber", "1,1"],
      "--model factor 'cp:a:3' needs an integer k; got 'a'"),

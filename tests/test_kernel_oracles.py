@@ -1,13 +1,14 @@
-"""Field evaluation, the column RK4 stage and the batched Hofer scan
-against their oracles.
+"""Field evaluation, the blocked strip quadrature, the column RK4 stage
+and the batched Hofer scan against their oracles.
 
 ``hamlab_oracle`` keeps the flattened ``value``/``vector_field`` path
 that ``HamiltonianField.value``, ``partials`` and
-``strips.energy_functional`` replaced, and the per-point RK4 loop and
-the per-node Hofer scan that ``flow._rk4_segment`` and
-``fields.hofer_norms`` replaced.  Both sides do the same float
-operations in the same order, so every property here requires equal
-bits, not closeness.
+``strips.energy_functional`` replaced, the whole-grid densities that
+``strips.integrals`` replaced with blocks of tau-rows, and the
+per-point RK4 loop and the per-node Hofer scan that
+``flow._rk4_segment`` and ``fields.hofer_norms`` replaced.  Both sides
+do the same float operations in the same order, so every property here
+requires equal bits, not closeness.
 """
 
 import importlib
@@ -16,12 +17,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import hamlab_oracle as oracle
 from torsionlab.hamlab import (DifferenceHamiltonian, HamiltonianField,
                                StripMap, energy_functional, euclidean_plane,
-                               fields, rho_k, rho_plus)
+                               fields, pullback_area, rho_k, rho_plus,
+                               strips, verify_energy_identity)
 from torsionlab.hamlab.flow import transport_from_zero, transport_to_zero
 
 # the package exports the function flow under the module's name
@@ -91,6 +93,58 @@ def test_energy_functional_matches_the_flattened_vector_field(name, grid,
     got = energy_functional(strip, H, rho)
     expected = oracle.energy_functional(strip, H, rho)
     assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+
+@st.composite
+def blocked_grids(draw):
+    """A grid of 1-3 blocks of tau-rows and a remainder of 0-2 rows, with
+    the block size in points that makes those blocks.  tau and t are
+    uneven; in half the draws the tau spacings are equal across one
+    block and its neighbouring rows and differ from every other spacing,
+    so that a du/dtau taken per block would pick numpy's uniform
+    stencil there."""
+    step, blocks = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    ns = blocks * step + draw(st.integers(0, 2))
+    assume(ns >= 3)
+    nt = draw(st.integers(3, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    # multiples of 1/64, so that np.diff(tau) gives them back exactly;
+    # the equal ones are 3/8, not a power of 2, so that the two stencils
+    # round differently
+    spacings = rng.integers(8, 24, size=ns - 1) / 64
+    if draw(st.booleans()):
+        first = draw(st.integers(0, blocks - 1)) * step
+        spacings[max(0, first - 1):first + step] = 24 / 64
+    tau = np.concatenate([[-1.0], -1.0 + np.cumsum(spacings)])
+    steps = np.cumsum(rng.uniform(0.1, 1.0, size=nt - 1))
+    t = np.concatenate([[0.0], steps / steps[-1]])
+    block_points = step * nt + draw(st.integers(0, nt - 1))
+    return block_points, (tau, t, rng.uniform(-1.5, 1.5, size=(ns, nt, 2)))
+
+
+@settings(max_examples=80)
+@given(name=st.sampled_from(NAMES), case=blocked_grids(),
+       profile=st.sampled_from(sorted(PROFILES)))
+def test_blocked_quadrature_matches_the_whole_grid(name, case, profile):
+    # every block seam, a remainder block of one row, and the top edge
+    # of H read from the last block
+    block_points, grid = case
+    H, rho = FIELDS[name], PROFILES[profile]
+    strip = StripMap(PLANE, *grid)
+    with mock.patch.object(strips, "BLOCK_POINTS", block_points):
+        got = (energy_functional(strip, H, rho), pullback_area(strip),
+               verify_energy_identity(strip, H, rho))
+    expected = (oracle.energy_functional(strip, H, rho),
+                oracle.pullback_area(strip),
+                oracle.energy_identity(strip, H, rho))
+    assert [x.hex() for x in got[0]] == [x.hex() for x in expected[0]]
+    assert got[1].hex() == expected[1].hex()
+    assert got[2].keys() == expected[2].keys()
+    for key, value in got[2].items():
+        if isinstance(value, float):
+            assert value.hex() == expected[2][key].hex(), key
+        else:
+            assert value == expected[2][key], key
 
 
 @settings(max_examples=60)

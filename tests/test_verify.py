@@ -1,15 +1,17 @@
 """Identity verifiers and randomized suites."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy
 
 from torsionlab.hamlab import (DifferenceHamiltonian, HamiltonianField,
-                               euclidean_plane, flow, rho_k, rho_plus,
-                               run_suite, verify_actiondiff,
+                               StripMap, euclidean_plane, flow, rho_k,
+                               rho_plus, run_suite, verify_actiondiff,
                                verify_energy_identity)
-from torsionlab.hamlab.verify import (suite_actiondiff, suite_energy,
-                                      suite_hat)
+from torsionlab.hamlab.verify import (_bump_points, suite_actiondiff,
+                                      suite_energy, suite_hat)
 
 from strip_grid import strip_from_function
 
@@ -57,6 +59,28 @@ def test_energy_identity_random_quadratic(profile):
     report = verify_energy_identity(strip, H, profile, tol=1e-6)
     assert report["passed"]
     assert report["energy_slack"] >= -1e-10
+
+
+def test_energy_identity_peaks_within_two_and_a_half_strips():
+    # the energy suite's finest strip at the default resolution; a
+    # whole-grid temporary per density would peak near 6 strips
+    rng = np.random.default_rng(3)
+    tau = np.linspace(-5.0, 5.0, 2561)
+    t = np.linspace(0.0, 1.0, 257)
+    strip = StripMap(SPACE, tau, t, _bump_points(
+        rng.uniform(-0.25, 0.25, size=2),
+        rng.uniform(-0.03, 0.03, size=(2, 3)), tau, t))
+    H = HamiltonianField(SPACE, "0.2*x1**2 - 0.1*x1*y1 + 0.15*y1**2"
+                                " + 0.05*x1 - 0.2*y1")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = verify_energy_identity(strip, H, rho_plus())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["passed"]
+    assert peak - before <= 2.5 * strip.points.nbytes
 
 
 @pytest.mark.parametrize("which,expected", [("first", 0.40),
