@@ -59,13 +59,12 @@ def line_integral(strip: StripMap, values: np.ndarray) -> float:
     return float(np.trapezoid(values, strip.t))
 
 
-def integrals(strip: StripMap, H=None, rho=None, hamiltonian: bool = False
-              ) -> dict:
+def integrals(strip: StripMap, H=None, rho=None) -> dict:
     """The integrals of one pass over the strip, by name: "area" of
     omega(du/dtau, du/dt); given H, "energy" and "geometric" as in
-    ``energy_functional``; with hamiltonian, "rho_term" of rho'(tau) H,
-    and as "base" and "top" rho times the line integral of H along each
-    tau edge.  rho=None means the constant profile 1.
+    ``energy_functional``, "rho_term" of rho'(tau) H, and as "base" and
+    "top" rho times the line integral of H along each tau edge.
+    rho=None means the constant profile 1.
     """
     tau, t, points, space = strip.tau, strip.t, strip.points, strip.space
     weights, slopes = ((np.ones_like(tau), np.zeros_like(tau))
@@ -87,13 +86,13 @@ def integrals(strip: StripMap, H=None, rho=None, hamiltonian: bool = False
             density["energy"] = 0.5 * (space.metric_norm2(u_tau)
                                        + space.metric_norm2(V))
             density["geometric"] = space.omega(u_tau, V)
-        if hamiltonian:
             h = H.value(t, u)
-            sums.setdefault("base", weights[0] * line_integral(strip, h[0]))
+            if start == 0:
+                sums["base"] = weights[0] * line_integral(strip, h[0])
             density["rho_term"] = slopes[block, None] * h
         for name, values in density.items():
             rows.setdefault(name, []).append(np.trapezoid(values, t, axis=1))
-    if hamiltonian:
+    if H is not None:
         sums["top"] = weights[-1] * line_integral(strip, h[-1])
     for name, parts in rows.items():
         sums[name] = float(np.trapezoid(np.concatenate(parts), tau))

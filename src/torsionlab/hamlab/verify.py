@@ -38,7 +38,7 @@ def verify_energy_identity(strip: StripMap, H, rho, tol: float = 1e-6
     with L the Hamiltonian line integral along a tau edge and I the
     double integral over the strip.
     """
-    sums = integrals(strip, H, rho, hamiltonian=True)
+    sums = integrals(strip, H, rho)
     rhs = sums["area"] + sums["top"] - sums["base"] - sums["rho_term"]
     discrepancy = abs(sums["geometric"] - rhs)
     return {
